@@ -1,18 +1,40 @@
-"""Training loops: Hessian-aided-momentum natural policy gradient and the
+"""Training loop for Hessian-aided-momentum natural policy gradient and the
 three reference baselines (plain policy gradient, Hessian-aided plain
 gradient, importance-sampling-momentum natural gradient).
 
+All four methods run one loop, `_train`. Each iteration forms the direction
+estimate with the STORM-type recursion
+
+    u_1 = g(tau_1; theta_1)
+    u_t = beta_t g(tau_t; theta_t) + (1 - beta_t) [u_{t-1} + correction_t]
+
+takes w_t = u_t or a natural-gradient solve w_t ~ F(theta_t)^{-1} u_t
+through cfg.subproblem, and steps theta_{t+1} = theta_t + alpha_t w_t. The
+methods differ only in their row of METHODS:
+
+    method  correction_t                                  solve  beta_t
+    npg-hm  H(tau_hat; theta_hat) (theta_t - theta_{t-1})  yes    tau0/(t + tau0)
+    harpg   H(tau_hat; theta_hat) (theta_t - theta_{t-1})  no     harpg_tau0/(t + harpg_tau0)
+    mnpg    g(tau_t; theta_t) - w g(tau_t; theta_{t-1})    yes    beta_fixed
+    pg      none: u_t = g(tau_t; theta_t), no momentum     no     tau0/(t + tau0)
+
+with theta_hat = q theta_t + (1-q) theta_{t-1}, q ~ U(0,1), tau_hat drawn at
+theta_hat, and w the likelihood ratio of tau_t under theta_{t-1} over
+theta_t. force_beta pins beta_t for every method; pg_step = "constant" drops
+the sqrt(beta_t) factor from pg's step only.
+
 Iteration/bookkeeping contract, with T the configured iteration budget:
 the loop body runs for t = 1..T-1 and returns theta_T, so T = 1 is a no-op.
-The momentum methods that need a second rollout (the Hessian correction at
-the mixed parameter theta_hat) sample exactly 2 trajectories per iteration
-for t >= 2 and 1 at t = 1; the single-trajectory methods sample 1 per
-iteration. Evaluation rollouts come from a separate stream and are never
-counted.
+The methods with the Hessian correction sample exactly 2 trajectories per
+iteration for t >= 2 (q first, then tau_t, then tau_hat) and 1 at t = 1;
+the others sample 1 per iteration (Method.trajectories_per_step).
+Evaluation rollouts come from a separate stream and are never counted. A
+solver that cannot run on the env (the exact solve off a tabular MDP) is
+rejected before anything is drawn.
 
-Schedules: beta_t = tau0/(t + tau0), alpha_t = alpha0 sqrt(beta_t), and the
-automatic truncation horizon H = ceil(-log(T + tau0)/log gamma) that keeps
-the truncation bias of the same order as the optimization error.
+Schedules: alpha_t = alpha0 sqrt(beta_t), and the automatic truncation
+horizon H = ceil(-log(T + tau0)/log gamma) that keeps the truncation bias of
+the same order as the optimization error.
 """
 from __future__ import annotations
 
@@ -31,7 +53,7 @@ from .estimators import (
     momentum_update_is,
     truncated_grad,
 )
-from .natural_gradient import SubproblemConfig, adam_subsolver, exact_npg_direction, npg_sgd
+from .natural_gradient import SubproblemConfig, adam_subsolver, exact_npg_direction, npg_sgd, resolve_eta
 from .oracles import compute_constants, exact_fim, exact_return, optimal_return, theoretical_alpha0
 from .seeding import substreams
 
@@ -127,6 +149,8 @@ class RunConfig:
             raise ValueError("horizon must be >= 1")
         if self.eval_interval < 1:
             raise ValueError("eval_interval must be >= 1")
+        if self.eval_trajectories < 1:
+            raise ValueError("eval_trajectories must be >= 1")
         if self.force_beta is not None and not 0.0 < self.force_beta <= 1.0:
             raise ValueError("force_beta must be in (0, 1]")
         if self.pg_step not in ("scheduled", "constant"):
@@ -189,12 +213,6 @@ def _resolve_alpha0(cfg: RunConfig, env, policy, horizon: int, rng) -> tuple[flo
     return val, val
 
 
-def _beta(cfg: RunConfig, t: int, tau0: float) -> float:
-    if cfg.force_beta is not None:
-        return cfg.force_beta
-    return beta_schedule(t, tau0)
-
-
 def _evaluator(env, cfg: RunConfig, horizon: int, eval_rng):
     """Returns evaluate(policy) -> (j_hat, gap). Exact on tabular MDPs,
     Monte Carlo elsewhere (evaluation stream, uncounted)."""
@@ -227,8 +245,6 @@ def _solve_direction(env, policy, u, cfg: RunConfig, sub_rng, w_prev):
     if sub.kind == "identity":
         return u.copy()
     if sub.kind == "exact":
-        if not isinstance(env, TabularMdp):
-            raise ValueError("exact sub-problem solve needs a tabular MDP")
         return exact_npg_direction(exact_fim(env, policy), u, sub.damping)
     sampler = lambda: sample_state_action(env, policy, sub_rng)
     w0 = w_prev if sub.warm_start else None
@@ -237,175 +253,68 @@ def _solve_direction(env, policy, u, cfg: RunConfig, sub_rng, w_prev):
     return adam_subsolver(sampler, policy, u, sub, w0)
 
 
-def _base_meta(cfg: RunConfig, env, horizon: int, alpha0: float, alpha0_theory, algorithm: str) -> dict:
-    return {
-        "algorithm": algorithm,
-        "seed": cfg.seed,
-        "big_t": cfg.big_t,
-        "horizon": horizon,
-        "tau0": cfg.tau0,
-        "alpha0": alpha0,
-        "alpha0_theory": alpha0_theory,
-        "gamma": env.gamma,
-        "geom_cap": geometric_cap(env.gamma) if env.gamma > 0 else 0,
-        "subproblem_kind": cfg.subproblem.kind,
-        "trajectories": 0,
-    }
+@dataclass(frozen=True)
+class Method:
+    """One row of the method table in the module docstring."""
+
+    correction: str | None  # "hessian", "is", or None (u_t = g_t, no momentum)
+    solve: bool  # w_t from cfg.subproblem; otherwise w_t = u_t
+    beta: str  # RunConfig field: "tau0"/"harpg_tau0" schedules, "beta_fixed" constant
+
+    @property
+    def trajectories_per_step(self) -> int:
+        """Trajectories drawn at each t >= 2 (one at t = 1)."""
+        return 2 if self.correction == "hessian" else 1
 
 
-def _maybe_eval(evaluate, policy, cfg: RunConfig, t: int) -> tuple[float | None, float | None]:
-    last = t == cfg.big_t - 1
-    if last or t % cfg.eval_interval == 0:
-        return evaluate(policy)
-    return None, None
+METHODS = {
+    "npg-hm": Method("hessian", True, "tau0"),
+    "pg": Method(None, False, "tau0"),
+    "harpg": Method("hessian", False, "harpg_tau0"),
+    "mnpg": Method("is", True, "beta_fixed"),
+}
 
 
-def run_npg_hm(env, policy, cfg: RunConfig) -> RunResult:
-    """Hessian-aided momentum estimate, then a natural-gradient solve:
+def check_solver(env, policy, cfg: RunConfig, algorithm: str) -> None:
+    """Raise ValueError when the algorithm's direction solve cannot run on
+    this env and policy."""
+    sub = cfg.subproblem
+    if not METHODS[algorithm].solve:
+        return
+    if sub.kind == "exact" and not isinstance(env, TabularMdp):
+        raise ValueError("exact sub-problem solve needs a tabular MDP")
+    if sub.kind == "sgd_average":
+        resolve_eta(sub, policy)
 
-    t = 1:   u_1 = g(tau_1; theta_1)
-    t >= 2:  theta_hat = q theta_t + (1-q) theta_{t-1}, q ~ U(0,1)
-             u_t = beta_t g(tau_t; theta_t)
-                   + (1-beta_t)[u_{t-1} + H(tau_hat; theta_hat) dtheta]
-    then w_t ~ F(theta_t)^{-1} u_t and theta_{t+1} = theta_t + alpha_t w_t.
-    """
+
+def _train(env, policy, cfg: RunConfig, name: str) -> RunResult:
+    """The one training loop, driven by the method table row METHODS[name]."""
+    method = METHODS[name]
+    check_solver(env, policy, cfg, name)
     streams = substreams(cfg.seed)
     gamma = env.gamma
     horizon = auto_horizon(gamma, cfg.big_t, cfg.tau0) if cfg.horizon == "auto" else int(cfg.horizon)
     alpha0, alpha0_theory = _resolve_alpha0(cfg, env, policy, horizon, streams["bounds"])
     evaluate = _evaluator(env, cfg, horizon, streams["evaluation"])
     factory = policy.with_params
+    constant_step = method.correction is None and cfg.pg_step == "constant"
 
     theta = np.array(policy.theta, dtype=float)
     pol = policy
     state: MomentumState | None = None
     w_prev = np.zeros(policy.dim)
-    records: list[IterateRecord] = []
-    n_traj = 0
-
-    for t in range(1, cfg.big_t):
-        tic = time.perf_counter()
-        beta_t = _beta(cfg, t, cfg.tau0)
-        alpha_t = alpha0 * math.sqrt(beta_t)
-        if t == 1:
-            traj_t = sample_trajectory(env, pol, horizon, streams["trajectory"])
-            n_traj += 1
-            state = MomentumState.initial(traj_t, theta, factory, gamma)
-        else:
-            q = streams["q"].random()
-            theta_hat = q * theta + (1.0 - q) * state.theta_prev
-            traj_t = sample_trajectory(env, pol, horizon, streams["trajectory"])
-            traj_hat = sample_trajectory(env, factory(theta_hat), horizon, streams["trajectory"])
-            n_traj += 2
-            state = momentum_update_hessian(
-                state, theta, traj_t, traj_hat, theta_hat, beta_t, factory, gamma
-            )
-        u = state.u
-        _check_finite("u", u, t, theta, state, records)
-        w = _solve_direction(env, pol, u, cfg, streams["subproblem"], w_prev)
-        _check_finite("w", w, t, theta, state, records)
-        theta = theta + alpha_t * w
-        _check_finite("theta", theta, t, theta, state, records)
-        pol = pol.with_params(theta)
-        w_prev = w
-        j_hat, gap = _maybe_eval(evaluate, pol, cfg, t)
-        records.append(
-            IterateRecord(
-                t=t,
-                trajectories=n_traj,
-                beta_t=beta_t,
-                alpha_t=alpha_t,
-                u_norm=float(np.linalg.norm(u)),
-                w_norm=float(np.linalg.norm(w)),
-                wall_ms=(time.perf_counter() - tic) * 1000.0,
-                j_hat=j_hat,
-                gap=gap,
-                u=u.copy() if cfg.store_vectors else None,
-                w=np.asarray(w, dtype=float).copy() if cfg.store_vectors else None,
-                fresh=truncated_grad(traj_t, factory(state.theta_prev), gamma)
-                if cfg.store_vectors
-                else None,
-            )
-        )
-    meta = _base_meta(cfg, env, horizon, alpha0, alpha0_theory, "npg-hm")
-    meta["trajectories"] = n_traj
-    return RunResult(theta=theta, records=records, meta=meta)
-
-
-def run_vanilla_pg(env, policy, cfg: RunConfig) -> RunResult:
-    """Plain truncated policy gradient: theta += alpha_t g(tau_t; theta_t),
-    one trajectory per iteration, scheduled or constant step."""
-    streams = substreams(cfg.seed)
-    gamma = env.gamma
-    horizon = auto_horizon(gamma, cfg.big_t, cfg.tau0) if cfg.horizon == "auto" else int(cfg.horizon)
-    alpha0, alpha0_theory = _resolve_alpha0(cfg, env, policy, horizon, streams["bounds"])
-    evaluate = _evaluator(env, cfg, horizon, streams["evaluation"])
-
-    theta = np.array(policy.theta, dtype=float)
-    pol = policy
-    records: list[IterateRecord] = []
-    n_traj = 0
-    for t in range(1, cfg.big_t):
-        tic = time.perf_counter()
-        beta_t = _beta(cfg, t, cfg.tau0)
-        alpha_t = alpha0 if cfg.pg_step == "constant" else alpha0 * math.sqrt(beta_t)
-        traj = sample_trajectory(env, pol, horizon, streams["trajectory"])
-        n_traj += 1
-        g = truncated_grad(traj, pol, gamma)
-        _check_finite("g", g, t, theta, None, records)
-        theta = theta + alpha_t * g
-        _check_finite("theta", theta, t, theta, None, records)
-        pol = pol.with_params(theta)
-        j_hat, gap = _maybe_eval(evaluate, pol, cfg, t)
-        records.append(
-            IterateRecord(
-                t=t,
-                trajectories=n_traj,
-                beta_t=beta_t,
-                alpha_t=alpha_t,
-                u_norm=float(np.linalg.norm(g)),
-                w_norm=float(np.linalg.norm(g)),
-                wall_ms=(time.perf_counter() - tic) * 1000.0,
-                j_hat=j_hat,
-                gap=gap,
-                u=g.copy() if cfg.store_vectors else None,
-                w=g.copy() if cfg.store_vectors else None,
-                fresh=g.copy() if cfg.store_vectors else None,
-            )
-        )
-    meta = _base_meta(cfg, env, horizon, alpha0, alpha0_theory, "pg")
-    meta["trajectories"] = n_traj
-    return RunResult(theta=theta, records=records, meta=meta)
-
-
-def run_harpg(env, policy, cfg: RunConfig) -> RunResult:
-    """Hessian-aided momentum on the plain gradient: same u_t recursion as
-    run_npg_hm with beta_t = harpg_tau0/(t + harpg_tau0) (default 2/(t+2)),
-    but theta_{t+1} = theta_t + alpha_t u_t with no Fisher solve."""
-    streams = substreams(cfg.seed)
-    gamma = env.gamma
-    horizon = auto_horizon(gamma, cfg.big_t, cfg.tau0) if cfg.horizon == "auto" else int(cfg.horizon)
-    alpha0, alpha0_theory = _resolve_alpha0(cfg, env, policy, horizon, streams["bounds"])
-    evaluate = _evaluator(env, cfg, horizon, streams["evaluation"])
-    factory = policy.with_params
-
-    theta = np.array(policy.theta, dtype=float)
-    pol = policy
-    state: MomentumState | None = None
     records: list[IterateRecord] = []
     n_traj = 0
     for t in range(1, cfg.big_t):
         tic = time.perf_counter()
         if cfg.force_beta is not None:
             beta_t = cfg.force_beta
+        elif method.beta == "beta_fixed":
+            beta_t = cfg.beta_fixed
         else:
-            beta_t = beta_schedule(t, cfg.harpg_tau0)
-        alpha_t = alpha0 * math.sqrt(beta_t)
-        if t == 1:
-            traj_t = sample_trajectory(env, pol, horizon, streams["trajectory"])
-            n_traj += 1
-            state = MomentumState.initial(traj_t, theta, factory, gamma)
-        else:
+            beta_t = beta_schedule(t, getattr(cfg, method.beta))
+        alpha_t = alpha0 if constant_step else alpha0 * math.sqrt(beta_t)
+        if method.correction == "hessian" and t > 1:
             q = streams["q"].random()
             theta_hat = q * theta + (1.0 - q) * state.theta_prev
             traj_t = sample_trajectory(env, pol, horizon, streams["trajectory"])
@@ -414,71 +323,23 @@ def run_harpg(env, policy, cfg: RunConfig) -> RunResult:
             state = momentum_update_hessian(
                 state, theta, traj_t, traj_hat, theta_hat, beta_t, factory, gamma
             )
-        u = state.u
-        _check_finite("u", u, t, theta, state, records)
-        theta = theta + alpha_t * u
-        _check_finite("theta", theta, t, theta, state, records)
-        pol = pol.with_params(theta)
-        j_hat, gap = _maybe_eval(evaluate, pol, cfg, t)
-        records.append(
-            IterateRecord(
-                t=t,
-                trajectories=n_traj,
-                beta_t=beta_t,
-                alpha_t=alpha_t,
-                u_norm=float(np.linalg.norm(u)),
-                w_norm=float(np.linalg.norm(u)),
-                wall_ms=(time.perf_counter() - tic) * 1000.0,
-                j_hat=j_hat,
-                gap=gap,
-                u=u.copy() if cfg.store_vectors else None,
-                w=u.copy() if cfg.store_vectors else None,
-                fresh=truncated_grad(traj_t, factory(state.theta_prev), gamma)
-                if cfg.store_vectors
-                else None,
-            )
-        )
-    meta = _base_meta(cfg, env, horizon, alpha0, alpha0_theory, "harpg")
-    meta["trajectories"] = n_traj
-    return RunResult(theta=theta, records=records, meta=meta)
-
-
-def run_mnpg(env, policy, cfg: RunConfig) -> RunResult:
-    """Importance-sampling momentum (one trajectory per iteration) with the
-    same natural-gradient solve as run_npg_hm; beta is the constant
-    cfg.beta_fixed (default 0.5)."""
-    streams = substreams(cfg.seed)
-    gamma = env.gamma
-    horizon = auto_horizon(gamma, cfg.big_t, cfg.tau0) if cfg.horizon == "auto" else int(cfg.horizon)
-    alpha0, alpha0_theory = _resolve_alpha0(cfg, env, policy, horizon, streams["bounds"])
-    evaluate = _evaluator(env, cfg, horizon, streams["evaluation"])
-    factory = policy.with_params
-
-    theta = np.array(policy.theta, dtype=float)
-    pol = policy
-    state: MomentumState | None = None
-    w_prev = np.zeros(policy.dim)
-    records: list[IterateRecord] = []
-    n_traj = 0
-    for t in range(1, cfg.big_t):
-        tic = time.perf_counter()
-        beta_t = cfg.force_beta if cfg.force_beta is not None else cfg.beta_fixed
-        alpha_t = alpha0 * math.sqrt(beta_t)
-        traj_t = sample_trajectory(env, pol, horizon, streams["trajectory"])
-        n_traj += 1
-        if t == 1:
-            state = MomentumState.initial(traj_t, theta, factory, gamma)
         else:
-            state = momentum_update_is(state, theta, traj_t, beta_t, factory, gamma)
-        u = state.u
-        _check_finite("u", u, t, theta, state, records)
-        w = _solve_direction(env, pol, u, cfg, streams["subproblem"], w_prev)
+            traj_t = sample_trajectory(env, pol, horizon, streams["trajectory"])
+            n_traj += 1
+            if method.correction is not None and t == 1:
+                state = MomentumState.initial(traj_t, theta, factory, gamma)
+            elif method.correction == "is":
+                state = momentum_update_is(state, theta, traj_t, beta_t, factory, gamma)
+        u = truncated_grad(traj_t, pol, gamma) if state is None else state.u
+        _check_finite("g" if state is None else "u", u, t, theta, state, records)
+        w = _solve_direction(env, pol, u, cfg, streams["subproblem"], w_prev) if method.solve else u
         _check_finite("w", w, t, theta, state, records)
-        theta = theta + alpha_t * w
+        theta_t, theta = theta, theta + alpha_t * w
         _check_finite("theta", theta, t, theta, state, records)
         pol = pol.with_params(theta)
         w_prev = w
-        j_hat, gap = _maybe_eval(evaluate, pol, cfg, t)
+        last = t == cfg.big_t - 1
+        j_hat, gap = evaluate(pol) if last or t % cfg.eval_interval == 0 else (None, None)
         records.append(
             IterateRecord(
                 t=t,
@@ -492,14 +353,43 @@ def run_mnpg(env, policy, cfg: RunConfig) -> RunResult:
                 gap=gap,
                 u=u.copy() if cfg.store_vectors else None,
                 w=np.asarray(w, dtype=float).copy() if cfg.store_vectors else None,
-                fresh=truncated_grad(traj_t, factory(state.theta_prev), gamma)
-                if cfg.store_vectors
-                else None,
+                fresh=truncated_grad(traj_t, factory(theta_t), gamma) if cfg.store_vectors else None,
             )
         )
-    meta = _base_meta(cfg, env, horizon, alpha0, alpha0_theory, "mnpg")
-    meta["trajectories"] = n_traj
+    meta = {
+        "algorithm": name,
+        "seed": cfg.seed,
+        "big_t": cfg.big_t,
+        "horizon": horizon,
+        "tau0": cfg.tau0,
+        "alpha0": alpha0,
+        "alpha0_theory": alpha0_theory,
+        "gamma": gamma,
+        "geom_cap": geometric_cap(gamma) if gamma > 0 else 0,
+        "subproblem_kind": cfg.subproblem.kind,
+        "trajectories": n_traj,
+    }
     return RunResult(theta=theta, records=records, meta=meta)
+
+
+def run_npg_hm(env, policy, cfg: RunConfig) -> RunResult:
+    """Hessian-aided momentum, then the natural-gradient solve (the paper's method)."""
+    return _train(env, policy, cfg, "npg-hm")
+
+
+def run_vanilla_pg(env, policy, cfg: RunConfig) -> RunResult:
+    """Plain truncated policy gradient, scheduled or constant step."""
+    return _train(env, policy, cfg, "pg")
+
+
+def run_harpg(env, policy, cfg: RunConfig) -> RunResult:
+    """Hessian-aided momentum on the plain gradient, no Fisher solve."""
+    return _train(env, policy, cfg, "harpg")
+
+
+def run_mnpg(env, policy, cfg: RunConfig) -> RunResult:
+    """Importance-sampling momentum, then the natural-gradient solve."""
+    return _train(env, policy, cfg, "mnpg")
 
 
 ALGORITHMS: dict[str, Callable] = {

@@ -70,18 +70,6 @@ def baseline_grad(
     return policy.score_sum(traj.states[:-1], traj.actions, weights)
 
 
-def baseline_grad_per_step(
-    traj: Trajectory, policy: Policy, gamma: float, baseline: Callable
-) -> np.ndarray:
-    """Conventional advantage-style variant: sum_h [R_h - gamma^h b(s_h)]
-    * score_h, i.e. the baseline enters once per step at its own discount."""
-    h = traj.horizon
-    r2g = reward_to_go(traj.rewards, gamma)
-    b = np.array([baseline(s) for s in traj.states[:-1]], dtype=float)
-    weights = r2g - gamma ** np.arange(h) * b
-    return policy.score_sum(traj.states[:-1], traj.actions, weights)
-
-
 def hessian_vector_product(
     traj: Trajectory, policy: Policy, gamma: float, x: np.ndarray
 ) -> np.ndarray:
@@ -90,7 +78,8 @@ def hessian_vector_product(
     r2g = reward_to_go(traj.rewards, gamma)
     states, actions = traj.states[:-1], traj.actions
     g = policy.score_sum(states, actions, r2g)
-    score_dot_x = float(np.dot(policy.score_total(states, actions), x))
+    ones = np.ones(len(actions))
+    score_dot_x = float(np.dot(policy.score_sum(states, actions, ones), x))
     return score_dot_x * g + policy.hvp_sum(states, actions, r2g, x)
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algorithms import ALGORITHMS, NanAbortError, RunConfig
+from .algorithms import ALGORITHMS, METHODS, NanAbortError, RunConfig, check_solver
 from .envs import PointMassEnv, TabularMdp, chain, load_mdp_text, pointmass, random_mdp
 from .natural_gradient import SubproblemConfig
 from .policies import (
@@ -172,13 +172,11 @@ class TrainSpec:
 
 
 def budget_to_big_t(algorithm: str, budget: int) -> int:
-    """Largest T whose trajectory consumption fits the budget."""
+    """Largest T whose trajectory consumption fits the budget:
+    total(T) = 1 + k (T - 2) for T >= 2, k trajectories per step."""
     if budget < 1:
         raise ConfigError("trajectory budget must be >= 1")
-    if algorithm in ("npg-hm", "harpg"):
-        # total(T) = 1 + 2 (T - 2) for T >= 2
-        return max(2, (budget - 1) // 2 + 2)
-    return budget + 1  # total(T) = T - 1
+    return (budget - 1) // METHODS[algorithm].trajectories_per_step + 2
 
 
 def build_train_spec(mapping: dict[str, str], out_dir=None) -> TrainSpec:
@@ -189,7 +187,7 @@ def build_train_spec(mapping: dict[str, str], out_dir=None) -> TrainSpec:
     env_spec = _as_str(mapping, "env", None)
     if env_spec is None:
         raise ConfigError("missing required key `env`")
-    make_env(env_spec)  # fail fast on bad specs
+    env = make_env(env_spec)  # fail fast on bad specs
 
     algs_raw = _as_str(mapping, "algorithms", "npg-hm")
     if algs_raw == "all":
@@ -211,18 +209,11 @@ def build_train_spec(mapping: dict[str, str], out_dir=None) -> TrainSpec:
         raise ConfigError("no seeds given")
     if len(set(seeds)) != len(seeds):
         raise ConfigError(f"seeds must be distinct, got {seeds}")
-
-    sub = SubproblemConfig(
-        kind=_as_str(mapping, "subproblem.kind", "exact" if env_spec != "pointmass" else "sgd_average"),
-        n_iters=_as_int(mapping, "subproblem.n_iters", 100),
-        eta=(
-            "auto"
-            if _as_str(mapping, "subproblem.eta", "auto") == "auto"
-            else _as_float(mapping, "subproblem.eta", 0.0)
-        ),
-        damping=_as_float(mapping, "subproblem.damping", 0.3),
-        warm_start=_as_bool(mapping, "subproblem.warm_start", False),
-    )
+    if min(seeds) < 0:
+        raise ConfigError(f"seeds must be >= 0, got {seeds}")
+    workers = _as_int(mapping, "workers", 1)
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
 
     horizon_raw = _as_str(mapping, "run.horizon", "auto")
     horizon = "auto" if horizon_raw == "auto" else _as_int(mapping, "run.horizon", 0)
@@ -232,7 +223,21 @@ def build_train_spec(mapping: dict[str, str], out_dir=None) -> TrainSpec:
     budget = _as_int(mapping, "run.budget", 0)
     force_beta_raw = _as_str(mapping, "run.force_beta", "")
 
+    sigma = _as_float(mapping, "policy.sigma", 0.5)
+    trunc_c = _as_float(mapping, "policy.trunc_c", 3.0)
+
     try:
+        sub = SubproblemConfig(
+            kind=_as_str(mapping, "subproblem.kind", "exact" if env_spec != "pointmass" else "sgd_average"),
+            n_iters=_as_int(mapping, "subproblem.n_iters", 100),
+            eta=(
+                "auto"
+                if _as_str(mapping, "subproblem.eta", "auto") == "auto"
+                else _as_float(mapping, "subproblem.eta", 0.0)
+            ),
+            damping=_as_float(mapping, "subproblem.damping", 0.3),
+            warm_start=_as_bool(mapping, "subproblem.warm_start", False),
+        )
         run = RunConfig(
             big_t=big_t,
             alpha0=alpha0,
@@ -246,6 +251,9 @@ def build_train_spec(mapping: dict[str, str], out_dir=None) -> TrainSpec:
             harpg_tau0=_as_float(mapping, "run.harpg_tau0", 2.0),
             pg_step=_as_str(mapping, "run.pg_step", "scheduled"),
         )
+        policy = make_policy(env, sigma=sigma, trunc_c=trunc_c)
+        for alg in algs:
+            check_solver(env, policy, run, alg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -259,9 +267,9 @@ def build_train_spec(mapping: dict[str, str], out_dir=None) -> TrainSpec:
         run=run,
         out_dir=Path(out_dir),
         timing=_as_bool(mapping, "timing", False),
-        workers=_as_int(mapping, "workers", 1),
-        policy_sigma=_as_float(mapping, "policy.sigma", 0.5),
-        policy_trunc_c=_as_float(mapping, "policy.trunc_c", 3.0),
+        workers=workers,
+        policy_sigma=sigma,
+        policy_trunc_c=trunc_c,
         budget=budget or None,
     )
 

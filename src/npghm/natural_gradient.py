@@ -55,7 +55,8 @@ class SubproblemConfig:
             raise ValueError("damping must be nonnegative")
 
 
-def _resolve_eta(cfg: SubproblemConfig, policy: Policy) -> float:
+def resolve_eta(cfg: SubproblemConfig, policy: Policy) -> float:
+    """SGD step: cfg.eta, or 1/(4 m_g) from the policy's declared bound."""
     if cfg.eta != "auto":
         return float(cfg.eta)
     m_g = policy.m_g
@@ -75,7 +76,7 @@ def npg_sgd(
 ) -> np.ndarray:
     """Averaged-iterate SGD for F w = u; returns (1/(K+1)) sum_{k=0}^K w_k."""
     u = np.asarray(u, dtype=float)
-    eta = _resolve_eta(cfg, policy)
+    eta = resolve_eta(cfg, policy)
     w = np.zeros_like(u) if w0 is None else np.array(w0, dtype=float)
     acc = w.copy()
     for _ in range(cfg.n_iters):
@@ -124,18 +125,6 @@ def exact_npg_direction(fim: np.ndarray, u: np.ndarray, damping: float = 1e-3) -
     if damping > 0.0:
         return np.linalg.solve(fim + damping * np.eye(u.size), u)
     return pinv_solve(fim, u)
-
-
-def estimate_fim(sampler: Sampler, policy: Policy, n_samples: int) -> np.ndarray:
-    """Empirical Fisher matrix: mean of score outer products."""
-    if n_samples <= 0:
-        raise ValueError("n_samples must be positive")
-    f = np.zeros((policy.dim, policy.dim))
-    for _ in range(n_samples):
-        s, a = sampler()
-        x = policy.score(s, a)
-        f += np.outer(x, x)
-    return f / n_samples
 
 
 def averaged_sgd_error_bound(m_g: float, mu_f: float, dim: int, n_iters: int) -> float:

@@ -30,10 +30,6 @@ class Policy:
             out += w * self.score(s, a)
         return out
 
-    def score_total(self, states, actions) -> np.ndarray:
-        """sum_h score(states[h], actions[h])."""
-        return self.score_sum(states, actions, np.ones(len(actions)))
-
     def hvp_sum(self, states, actions, weights, x) -> np.ndarray:
         """sum_h weights[h] * (Hessian of log pi at step h) @ x."""
         out = np.zeros(self.dim)

@@ -12,7 +12,6 @@ from npghm.estimators import (
     MomentumState,
     PolicySupportError,
     baseline_grad,
-    baseline_grad_per_step,
     hessian_vector_product,
     importance_weight,
     log_importance_weight,
@@ -125,26 +124,6 @@ class TestBaselines:
             traj = sample_trajectory(mdp, pol, horizon, rng)
             plain += truncated_grad(traj, pol, mdp.gamma)
             g = baseline_grad(traj, pol, mdp.gamma, lambda s: b0)
-            shifted += g
-            sq += g * g
-        plain /= n
-        shifted /= n
-        se = np.sqrt(np.maximum(sq / n - shifted**2, 1e-30) / n)
-        assert np.all(np.abs(plain - shifted) < 6 * se + 1e-9)
-
-    def test_per_step_variant_also_unbiased(self):
-        mdp = random_mdp(3, 2, seed=9, gamma=0.8)
-        pol = softmax(mdp, 0.2 * np.random.default_rng(10).standard_normal(6))
-        horizon = 10
-        rng = substream(3, "trajectory")
-        n = 6000
-        plain = np.zeros(pol.dim)
-        shifted = np.zeros(pol.dim)
-        sq = np.zeros(pol.dim)
-        for _ in range(n):
-            traj = sample_trajectory(mdp, pol, horizon, rng)
-            plain += truncated_grad(traj, pol, mdp.gamma)
-            g = baseline_grad_per_step(traj, pol, mdp.gamma, lambda s: 0.5 + 0.1 * s)
             shifted += g
             sq += g * g
         plain /= n

@@ -300,6 +300,29 @@ class TestCli:
         assert code == 2
         assert "key=value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--set", "subproblem.kind=bogus"],
+            ["--set", "subproblem.n_iters=-1"],
+            ["--seeds", "-1"],
+            ["--env", "pointmass", "--subsolver", "exact"],
+            ["--env", "pointmass", "--set", "policy.sigma=0"],
+            ["--env", "pointmass", "--set", "policy.trunc_c=inf"],
+            ["--env", "pointmass", "--set", "run.eval_trajectories=0"],
+            ["--workers", "0"],
+        ],
+    )
+    def test_bad_config_exits_two_before_training(self, tmp_path, capsys, extra):
+        out = tmp_path / "out"
+        argv = ["train", "--env", "chain3", "--alg", "npg-hm", "--T", "3", "--out", str(out)]
+        code = cli.main(argv + extra)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert err.startswith("configuration error")
+        assert not out.exists()
+
     def test_abort_exits_three_with_pointer(self, tmp_path, capsys):
         argv = wrap_train_args(tmp_path) + [
             "--alg", "npg-hm",

@@ -11,7 +11,6 @@ from npghm.natural_gradient import (
     TableScorePolicy,
     adam_subsolver,
     averaged_sgd_error_bound,
-    estimate_fim,
     exact_npg_direction,
     npg_sgd,
     recommended_subproblem_iters,
@@ -180,18 +179,6 @@ class TestExactDirection:
         w = exact_npg_direction(f, u, damping=0.0)
         # singular direction is cut off, not amplified
         assert np.allclose(w, [2.0, 0.0])
-
-
-class TestEstimateFim:
-    def test_matches_exact_fisher(self):
-        pol = anisotropic_policy()
-        f_hat = estimate_fim(pol.make_sampler(substream(11, "subproblem")), pol, 40_000)
-        assert np.abs(f_hat - pol.fisher()).max() < 0.05
-
-    def test_rejects_nonpositive_samples(self):
-        pol = anisotropic_policy()
-        with pytest.raises(ValueError):
-            estimate_fim(pol.make_sampler(substream(12, "subproblem")), pol, 0)
 
 
 class TestBounds:
