@@ -100,20 +100,24 @@ def _cmd_verify(args) -> int:
     return 0 if n_fail == 0 else 1
 
 
-def _parse_grid(raw, default, cast=float):
+def _parse_grid(flag, raw, default, cast=float):
     if raw is None:
         return default
-    return [cast(x) for x in raw.split(",") if x.strip()]
+    try:
+        return [cast(x) for x in raw.split(",") if x.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"{flag} must be a comma list of numbers, got {raw!r}") from exc
 
 
 def _cmd_sweep(args) -> int:
     spec = harness.build_train_spec(_collect_mapping(args))
     result = harness.sweep_experiment(
         spec,
-        alpha0_grid=_parse_grid(args.sweep_alpha0, [0.5, 1.0, 2.0, 4.0]),
-        tau0_grid=_parse_grid(args.sweep_tau0, [spec.run.tau0]),
-        n_iters_grid=_parse_grid(args.sweep_K, [spec.run.subproblem.n_iters], cast=int),
-        budget=int(args.budget) if args.budget else spec.budget,
+        alpha0_grid=_parse_grid("--sweep-alpha0", args.sweep_alpha0, [0.5, 1.0, 2.0, 4.0]),
+        tau0_grid=_parse_grid("--sweep-tau0", args.sweep_tau0, [spec.run.tau0]),
+        n_iters_grid=_parse_grid(
+            "--sweep-K", args.sweep_K, [spec.run.subproblem.n_iters], cast=int
+        ),
     )
     for row in result["rows"]:
         gap = row["final_gap_median"]

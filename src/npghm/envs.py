@@ -4,9 +4,16 @@ state-action sampler used by the natural-gradient sub-problem.
 Conventions: a trajectory of horizon H stores H+1 states, H actions, H
 rewards; rewards are stored exactly as sampled (post-clip) and are never
 re-derived by downstream estimators; all rewards live in [-1, 1].
+
+Draw contract: a tabular rollout of horizon H consumes exactly 2H+1
+uniforms from its Generator, first one for the initial state, then one
+(action, next state) pair per step. Every inverse-CDF draw, scalar or
+batched, picks the first index whose cumulative probability exceeds u
+(searchsorted side="right"), clamped to the last index.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -106,22 +113,28 @@ class TabularMdp:
             object.__setattr__(self, "_cum_p", cached)
         return cached
 
-    @property
-    def _cum_init(self) -> np.ndarray:
-        cached = getattr(self, "_cum_rho", None)
+    def _tables(self) -> tuple[list, list, list]:
+        """Nested-list tables for the scalar samplers, built lazily once:
+        cumulative init distribution, cumulative transition rows [s][a]
+        and rewards [s][a][s']."""
+        cached = getattr(self, "_lists", None)
         if cached is None:
-            cached = np.cumsum(self.init_dist)
-            object.__setattr__(self, "_cum_rho", cached)
+            cached = (
+                np.cumsum(self.init_dist).tolist(),
+                self._cum_transition.tolist(),
+                self.reward.tolist(),
+            )
+            object.__setattr__(self, "_lists", cached)
         return cached
 
     def initial_state(self, rng: np.random.Generator) -> int:
-        s = int(np.searchsorted(self._cum_init, rng.random(), side="right"))
+        s = bisect.bisect_right(self._tables()[0], rng.random())
         return min(s, self.n_states - 1)
 
     def step(self, s: int, a: int, rng: np.random.Generator) -> tuple[int, float]:
-        s2 = int(np.searchsorted(self._cum_transition[s, a], rng.random(), side="right"))
-        s2 = min(s2, self.n_states - 1)
-        return s2, float(self.reward[s, a, s2])
+        _, cum_p, reward = self._tables()
+        s2 = min(bisect.bisect_right(cum_p[s][a], rng.random()), self.n_states - 1)
+        return s2, reward[s][a][s2]
 
 
 @dataclass(frozen=True)
@@ -164,9 +177,10 @@ class PointMassEnv:
 
     def step(self, s: float, a: float, rng: np.random.Generator) -> tuple[float, float]:
         r = -(self.q_s * s * s + self.q_a * a * a) * self.reward_scale
-        r = float(np.clip(r, -1.0, 1.0))
+        # x first in min(max(x, lo), hi) so a NaN passes through as with np.clip
+        r = float(min(max(r, -1.0), 1.0))
         s2 = self.a_dyn * s + self.b_dyn * a + self.noise_std * rng.standard_normal()
-        s2 = float(np.clip(s2, -self.state_radius, self.state_radius))
+        s2 = float(min(max(s2, -self.state_radius), self.state_radius))
         return s2, r
 
 
@@ -174,9 +188,10 @@ def sample_trajectory(env, policy, horizon: int, rng: np.random.Generator) -> Tr
     """Roll `policy` for `horizon` steps from the initial distribution."""
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    tabular = isinstance(env, TabularMdp)
-    states = np.empty(horizon + 1, dtype=np.int64 if tabular else float)
-    actions = np.empty(horizon, dtype=np.int64 if tabular else float)
+    if isinstance(env, TabularMdp):
+        return _sample_tabular(env, policy, horizon, rng)
+    states = np.empty(horizon + 1, dtype=float)
+    actions = np.empty(horizon, dtype=float)
     rewards = np.empty(horizon, dtype=float)
     s = env.initial_state(rng)
     states[0] = s
@@ -187,6 +202,39 @@ def sample_trajectory(env, policy, horizon: int, rng: np.random.Generator) -> Tr
         rewards[h] = r
         states[h + 1] = s
     return Trajectory(states=states, actions=actions, rewards=rewards)
+
+
+def _sample_tabular(mdp: TabularMdp, policy, horizon: int, rng) -> Trajectory:
+    """sample_trajectory for a softmax policy on a tabular MDP: one
+    rng.random(2H+1) call, then a plain-Python walk over the list tables.
+    Draws and indices equal those of initial_state, then sample_action and
+    step per step, on the same Generator."""
+    cum_rho, cum_p, reward = mdp._tables()
+    cum_pi = policy._cum_probs()
+    last_s, last_a = mdp.n_states - 1, policy.n_actions - 1
+    bisect_right = bisect.bisect_right
+    u = rng.random(2 * horizon + 1).tolist()
+    s = min(bisect_right(cum_rho, u[0]), last_s)
+    states = [s]
+    actions = []
+    rewards = []
+    # The clamps are min(., last) spelled as branches, which run faster.
+    for u_a, u_s in zip(u[1::2], u[2::2]):
+        a = bisect_right(cum_pi[s], u_a)
+        if a > last_a:
+            a = last_a
+        s2 = bisect_right(cum_p[s][a], u_s)
+        if s2 > last_s:
+            s2 = last_s
+        actions.append(a)
+        rewards.append(reward[s][a][s2])
+        states.append(s2)
+        s = s2
+    return Trajectory(
+        states=np.array(states, dtype=np.int64),
+        actions=np.array(actions, dtype=np.int64),
+        rewards=np.array(rewards, dtype=float),
+    )
 
 
 def sample_state_action(env, policy, rng: np.random.Generator):
@@ -223,8 +271,9 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
 
 
 def _categorical(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    # cum: (n, k) cumulative rows; u: (n,) uniforms
-    idx = (cum < u[:, None]).sum(axis=1)
+    # cum: (n, k) cumulative rows; u: (n,) uniforms. Counting cum <= u is
+    # searchsorted side="right", the scalar samplers' tie rule.
+    idx = (cum <= u[:, None]).sum(axis=1)
     return np.minimum(idx, cum.shape[1] - 1)
 
 

@@ -221,6 +221,8 @@ def build_train_spec(mapping: dict[str, str], out_dir=None) -> TrainSpec:
     alpha0 = "theory" if alpha0_raw == "theory" else _as_float(mapping, "run.alpha0", 0.05)
     big_t = _as_int(mapping, "run.big_t", 2000)
     budget = _as_int(mapping, "run.budget", 0)
+    if budget < 0:
+        raise ConfigError(f"run.budget must be >= 0 (0 means no budget), got {budget}")
     force_beta_raw = _as_str(mapping, "run.force_beta", "")
 
     sigma = _as_float(mapping, "policy.sigma", 0.5)
@@ -460,45 +462,46 @@ def sweep_experiment(
     alpha0_grid: list,
     tau0_grid: list,
     n_iters_grid: list,
-    budget: int | None = None,
 ) -> dict:
     """Grid over (alpha0, tau0, K); each cell trains algorithms x seeds under
-    one shared trajectory budget and reports the median final gap."""
+    one shared trajectory budget and reports the median final gap. Every
+    cell's config is checked before any directory is made."""
+    try:
+        cells = [
+            (alpha0, tau0, n_iters, replace(
+                spec.run,
+                alpha0=alpha0,
+                tau0=tau0,
+                subproblem=replace(spec.run.subproblem, n_iters=n_iters),
+            ))
+            for alpha0 in alpha0_grid
+            for tau0 in tau0_grid
+            for n_iters in n_iters_grid
+        ]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     spec.out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     best = None
-    for alpha0 in alpha0_grid:
-        for tau0 in tau0_grid:
-            for n_iters in n_iters_grid:
-                run = replace(
-                    spec.run,
-                    alpha0=alpha0,
-                    tau0=tau0,
-                    subproblem=replace(spec.run.subproblem, n_iters=n_iters),
-                )
-                cell_spec = replace(
-                    spec,
-                    run=run,
-                    out_dir=spec.out_dir / f"a{alpha0}_t{tau0}_k{n_iters}",
-                    budget=budget or spec.budget,
-                )
-                out = train_experiment(cell_spec)
-                for alg in spec.algorithms:
-                    stats = out.summary["algorithms"][alg]
-                    row = {
-                        "algorithm": alg,
-                        "alpha0": alpha0,
-                        "tau0": tau0,
-                        "n_iters": n_iters,
-                        "final_gap_median": stats["final_gap"]["median"],
-                        "final_j_median": stats["final_j"]["median"],
-                    }
-                    rows.append(row)
-                    key = row["final_gap_median"]
-                    if key is None:
-                        key = -(row["final_j_median"] if row["final_j_median"] is not None else -math.inf)
-                    if best is None or key < best[0]:
-                        best = (key, row)
+    for alpha0, tau0, n_iters, run in cells:
+        cell_spec = replace(spec, run=run, out_dir=spec.out_dir / f"a{alpha0}_t{tau0}_k{n_iters}")
+        out = train_experiment(cell_spec)
+        for alg in spec.algorithms:
+            stats = out.summary["algorithms"][alg]
+            row = {
+                "algorithm": alg,
+                "alpha0": alpha0,
+                "tau0": tau0,
+                "n_iters": n_iters,
+                "final_gap_median": stats["final_gap"]["median"],
+                "final_j_median": stats["final_j"]["median"],
+            }
+            rows.append(row)
+            key = row["final_gap_median"]
+            if key is None:
+                key = -(row["final_j_median"] if row["final_j_median"] is not None else -math.inf)
+            if best is None or key < best[0]:
+                best = (key, row)
     header = ["algorithm", "alpha0", "tau0", "n_iters", "final_gap_median", "final_j_median"]
     lines = [",".join(header)]
     for row in rows:

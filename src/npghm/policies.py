@@ -9,6 +9,7 @@ new instance.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -99,6 +100,15 @@ class TabularSoftmaxPolicy(Policy):
             object.__setattr__(self, "_probs", cached)
         return cached
 
+    def _cum_probs(self) -> list:
+        """Cumulative rows of probs_matrix as nested lists, for the scalar
+        inverse-CDF draws; built lazily once."""
+        cached = getattr(self, "_cum", None)
+        if cached is None:
+            cached = np.cumsum(self.probs_matrix(), axis=1).tolist()
+            object.__setattr__(self, "_cum", cached)
+        return cached
+
     def with_params(self, theta: np.ndarray) -> "TabularSoftmaxPolicy":
         return replace(self, theta=np.asarray(theta, dtype=float))
 
@@ -124,8 +134,7 @@ class TabularSoftmaxPolicy(Policy):
         return out
 
     def sample_action(self, s: int, rng: np.random.Generator) -> int:
-        cum = np.cumsum(self.probs_matrix()[s])
-        a = int(np.searchsorted(cum, rng.random(), side="right"))
+        a = bisect.bisect_right(self._cum_probs()[s], rng.random())
         return min(a, self.n_actions - 1)
 
     # Vectorized reductions over whole trajectories.
@@ -179,7 +188,7 @@ class PointMassFeatures(FeatureMap):
         return 2
 
     def __call__(self, s) -> np.ndarray:
-        z = float(np.clip(s, -self.state_radius, self.state_radius))
+        z = min(max(float(s), -self.state_radius), self.state_radius)
         return np.array([z / self.state_radius, 1.0]) / math.sqrt(2.0)
 
     def batch(self, states) -> np.ndarray:

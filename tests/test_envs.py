@@ -24,12 +24,60 @@ from npghm.envs import (
     sample_trajectory,
 )
 from npghm.oracles import exact_state_action_visitation, exact_visitation
-from npghm.policies import TabularSoftmaxPolicy
+from npghm.policies import PointMassFeatures, TabularSoftmaxPolicy
 from npghm.seeding import substream
 
 
 def uniform_policy(mdp):
     return TabularSoftmaxPolicy.zeros(mdp.n_states, mdp.n_actions)
+
+
+class ReplayUniforms:
+    """Generator stand-in whose random() hands out preset uniforms in order."""
+
+    def __init__(self, uniforms):
+        self._u = [float(x) for x in uniforms]
+        self._i = 0
+
+    def random(self, size=None):
+        n = 1 if size is None else size
+        out = self._u[self._i : self._i + n]
+        assert len(out) == n, "ran out of preset uniforms"
+        self._i += n
+        return out[0] if size is None else np.array(out)
+
+
+def method_walk(mdp, pol, horizon, rng):
+    """Scalar rollout: initial_state, then sample_action and step per step."""
+    s = mdp.initial_state(rng)
+    states, actions, rewards = [s], [], []
+    for _ in range(horizon):
+        a = pol.sample_action(s, rng)
+        s, r = mdp.step(s, a, rng)
+        states.append(s)
+        actions.append(a)
+        rewards.append(r)
+    return states, actions, rewards
+
+
+def numpy_walk(mdp, pol, horizon, rng):
+    """Reference rollout on the numpy tables: one rng.random() per draw,
+    index = searchsorted(cumulative row, u, side="right") clamped to the end."""
+
+    def draw(probs):
+        i = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
+        return min(i, probs.size - 1)
+
+    s = draw(mdp.init_dist)
+    states, actions, rewards = [s], [], []
+    for _ in range(horizon):
+        a = draw(pol.probs_matrix()[s])
+        s2 = draw(mdp.transition[s, a])
+        states.append(s2)
+        actions.append(a)
+        rewards.append(float(mdp.reward[s, a, s2]))
+        s = s2
+    return states, actions, rewards
 
 
 class TestTrajectory:
@@ -156,6 +204,39 @@ class TestSampling:
         scalar = [sample_trajectory(mdp, pol, 6, rng2).rewards.mean() for _ in range(4000)]
         assert abs(mean_batch - np.mean(scalar)) < 0.01
 
+    @pytest.mark.parametrize(
+        "mdp, theta",
+        [
+            # uniform two-action rows: cum = [0.5, 1.0], hit exactly by u = 0.5
+            (chain(4), np.zeros(8)),
+            (random_mdp(5, 3, seed=2), np.tile([800.0, -800.0, 0.0], 5)),
+            (bandit([0.2, -0.6, 0.9]), np.array([-800.0, 1.5, 0.0])),
+            # leading zeros in the init, policy and transition rows
+            (
+                TabularMdp(chain(4).transition, chain(4).reward, [0.0, 0.5, 0.5, 0.0], 0.9),
+                np.tile([-800.0, 0.0], 4),
+            ),
+        ],
+        ids=["chain4-uniform", "random5x3-saturated", "bandit3", "chain4-right"],
+    )
+    def test_batch_sampler_reproduces_scalar_rollout_row_for_row(self, mdp, theta):
+        pol = TabularSoftmaxPolicy(mdp.n_states, mdp.n_actions, theta)
+        horizon, n = 7, 64
+        u = substream(8, "trajectory").random((n, 2 * horizon + 1))
+        # uniforms that land exactly on cumulative values: ties must go right
+        u[0, :] = 0.5
+        u[1, 1::2] = np.cumsum(pol.probs_matrix(), axis=1)[0, 0]
+        u[2, :] = 0.0
+        states, actions, rewards = sample_trajectories_batch(
+            mdp, pol.logits, horizon, n, uniforms=(u[:, 0], u[:, 1::2], u[:, 2::2])
+        )
+        for i in range(n):
+            row = (states[i].tolist(), actions[i].tolist(), rewards[i].tolist())
+            traj = sample_trajectory(mdp, pol, horizon, ReplayUniforms(u[i]))
+            assert (traj.states.tolist(), traj.actions.tolist(), traj.rewards.tolist()) == row
+            assert method_walk(mdp, pol, horizon, ReplayUniforms(u[i])) == row
+            assert numpy_walk(mdp, pol, horizon, ReplayUniforms(u[i])) == row
+
     def test_batch_sampler_per_chain_logits(self):
         mdp = chain(3)
         n = 500
@@ -180,6 +261,26 @@ class TestPointMass:
         env = PointMassEnv(noise_std=0.0)
         s_next, _ = env.step(env.state_radius, env.action_radius, substream(0, "trajectory"))
         assert abs(s_next) <= env.state_radius
+
+        def same(x, y):
+            if math.isnan(x) or math.isnan(y):
+                return math.isnan(x) and math.isnan(y)
+            return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+
+        # the scalar clips agree with np.clip on NaN, infinities and signed zero
+        feats = PointMassFeatures(env.state_radius)
+        rad = env.state_radius
+        for s in (math.nan, math.inf, -math.inf, -0.0, 0.0, 1.5, -7.0):
+            for a in (-0.0, 0.0, math.nan, 3.0):
+                z = substream(0, "trajectory").standard_normal()
+                s_next, r = env.step(s, a, substream(0, "trajectory"))
+                raw_r = -(env.q_s * s * s + env.q_a * a * a) * env.reward_scale
+                raw_s = env.a_dyn * s + env.b_dyn * a + env.noise_std * z
+                assert same(r, float(np.clip(raw_r, -1.0, 1.0)))
+                assert same(s_next, float(np.clip(raw_s, -rad, rad)))
+            phi = feats(s)
+            assert same(phi[0], float(np.clip(s, -rad, rad)) / rad / math.sqrt(2.0))
+            assert phi[1] == 1.0 / math.sqrt(2.0)
 
     def test_rejects_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -234,3 +335,35 @@ def test_sampled_step_obeys_transition_support(gamma, seed):
         s_next, r = mdp.step(s, a, rng)
         assert mdp.transition[s, a, s_next] > 0
         s = s_next
+
+
+_LOGITS = st.one_of(st.sampled_from([-800.0, 800.0, 0.0]), st.floats(-6.0, 6.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    mdp=st.one_of(
+        st.builds(
+            random_mdp,
+            n_states=st.integers(1, 6),
+            n_actions=st.integers(1, 4),
+            seed=st.integers(0, 10_000),
+        ),
+        st.builds(chain, st.integers(2, 6)),
+        st.builds(bandit, st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4)),
+    ),
+    horizon=st.integers(0, 25),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_tabular_rollout_matches_scalar_walk_draw_for_draw(mdp, horizon, seed, data):
+    # logits of +-800 make some probabilities exactly 0, so cumulative ties occur
+    theta = data.draw(st.lists(_LOGITS, min_size=mdp.n_states * mdp.n_actions,
+                               max_size=mdp.n_states * mdp.n_actions))
+    pol = TabularSoftmaxPolicy(mdp.n_states, mdp.n_actions, np.array(theta))
+    rngs = [np.random.default_rng(seed) for _ in range(3)]
+    traj = sample_trajectory(mdp, pol, horizon, rngs[0])
+    fast = (traj.states.tolist(), traj.actions.tolist(), traj.rewards.tolist())
+    assert fast == method_walk(mdp, pol, horizon, rngs[1])
+    assert fast == numpy_walk(mdp, pol, horizon, rngs[2])
+    assert len({rng.random() for rng in rngs}) == 1

@@ -22,6 +22,10 @@ CASES = {
     "chain5-exact": {"env": "chain5", "run.big_t": "25", "subproblem.kind": "exact"},
     "random4x3-exact": {"env": "random4x3@1", "run.big_t": "25", "subproblem.kind": "exact"},
     "pointmass-sgd": {"env": "pointmass", "run.big_t": "6", "subproblem.kind": "sgd_average"},
+    # the sub-solver's discounted (s, a) draws walk step/sample_action on a tabular MDP
+    "random4x3-sgd": {"env": "random4x3@1", "run.big_t": "12", "subproblem.kind": "sgd_average"},
+    # alpha0=theory estimates its bounds from discounted draws on the bounds stream
+    "chain5-theory": {"env": "chain5", "run.big_t": "12", "run.alpha0": "theory"},
     # every cell of every algorithm leaves float range and writes a diagnostic
     "chain3-abort": {
         "env": "chain3", "run.big_t": "12", "run.alpha0": "1.7e308",
@@ -68,6 +72,25 @@ DIGESTS = {
         'pg_seed1.policy': '5beab6021ddca4dd70ded8e050df227be57b23a79ea20e58852492a483ed6543',
         'summary.json': '090804a9a5a2c7d6caf7677f674d3864410d162746e19262d77998765f138c82',
     },
+    'chain5-theory': {
+        'harpg_seed0.csv': '78d5ea278d12fe35da5997e5384cbfa0834e3be253243cdf98fe1adc273bc87c',
+        'harpg_seed0.policy': '7acd4943363ee18232298649d842caca5058d7c00c96d3217a736a9137a3d6c3',
+        'harpg_seed1.csv': '60e3b05258b96b0c26abf739a68003b29ec4c85005fc1e1f88d73752fee59299',
+        'harpg_seed1.policy': 'c0d92105070240e7475782eb53581f2da36f072fe689ee119801c88f240b1d22',
+        'mnpg_seed0.csv': '24feb766c1a6a7243688eecbd441c08a58bb6b48bf88ad4b0a7197f41c85baf6',
+        'mnpg_seed0.policy': 'c8cc9f028ee3dec908dba0d6ec6859055915b2cc164ee945a0b996d19cfa8b67',
+        'mnpg_seed1.csv': '70c589c2db44ec9afcb453e4007c719bcfaacbcb2a3a0f5f1394da1eeda46a3c',
+        'mnpg_seed1.policy': 'edb34c084215d49d9becf858825a0f67d4bec7d3cafc5266004e1e7ddfc80dbd',
+        'npg-hm_seed0.csv': '5090d7cb072f109bf24a887bb62774398e8ca5329d2085f327333383b4296ea0',
+        'npg-hm_seed0.policy': '0b739e694497921c4b46592f0a41c71f5175c5367de40405ebdc7f27dfa57915',
+        'npg-hm_seed1.csv': '54a0b5960b202eac41891e60a41844b327bf31d3edbc57908e3d3543754eec04',
+        'npg-hm_seed1.policy': '08e6bfc8f017755823897745f2fd5f297af56f1872ce5984dd6aac14f42ff64e',
+        'pg_seed0.csv': 'f403b7de6e284fafccdef09591c633b3a18fce29dddba47ca958f9a5f1d12fe9',
+        'pg_seed0.policy': 'b1b1cf2413c50d6509941abe898d0c602b51c94f8cb7c5c88cc1c8cf0a5cfa83',
+        'pg_seed1.csv': 'b23a0f1e78a37bead70d0770dd34649669f9cd05e23e551f856bac8bd031c576',
+        'pg_seed1.policy': '7c2777f3a745452b8afe2721ae2b245de22b149a8ba3804bc7cea77d89eca2f4',
+        'summary.json': '2eddfcc20596b735b5a0a5f8d364b5ded704a02acbb17e55654f45a174f0a117',
+    },
     'pointmass-sgd': {
         'harpg_seed0.csv': 'b5a3e3216e13af34d08c35877bc15f747ccadc1ead9768a6e6fdc5bf0a29b0d0',
         'harpg_seed0.policy': '80d6c7a8235df503cd2a2ab989080752efa8ea7e50e8851bdf13a84b141dac8c',
@@ -105,6 +128,25 @@ DIGESTS = {
         'pg_seed1.csv': 'e6c7c237a4403dd46745c46232ee7c150ec94fb1dd1fbeab1833d4ee7e1f17ef',
         'pg_seed1.policy': '3a7eff87e09de9e9f395ce7f49463cb0bdd6d6c7f9c8f4e4fda581b8905eed54',
         'summary.json': '6c9360591801101e2066162d79942f25ab5bf7b154ae2b13de28d1e1fb120c30',
+    },
+    'random4x3-sgd': {
+        'harpg_seed0.csv': '445cc413608670e239bdc21a618e7235f1fa9851ad7c53f40fff453719c6d4a9',
+        'harpg_seed0.policy': '006ef75e87b6407c4d6a25cc688f292ee2558d00846037d2279eda48a78f16e6',
+        'harpg_seed1.csv': '2048f1b311d2d4f83afa31d4ee36050f3b9f3b916e1c2be6905a0f3d110694fb',
+        'harpg_seed1.policy': 'e83898bfeec90da55ec925a3fea2194840ac98d104425eb6cba36dd665b8d6cb',
+        'mnpg_seed0.csv': '4bf4b1efe099e0b4392b0644b97e06ddc1b6e983e8569043a0a7945d9066229f',
+        'mnpg_seed0.policy': '50e1cec347b09a6382e69be7410f9186f4e21bc5bc006dfefd6d4525c4d5573a',
+        'mnpg_seed1.csv': '3177e89aa52dfb593d4e3fa690aa832fda3fd69b3477407cc63959e5ba5a697b',
+        'mnpg_seed1.policy': '6c64ed07496aadc0d12990882468ff37906ffbeb0bcca5e9274fcbc1fd24de31',
+        'npg-hm_seed0.csv': '4692b57a7b31de9e97b91b287609443c1ce371a26c1e1883abb4cfcff1c7eca6',
+        'npg-hm_seed0.policy': 'dc395f9caa6fe655348c096497ffbffd8f17eff92eba135c6ddf6950308e8bd1',
+        'npg-hm_seed1.csv': 'd90a1688fc7844c1d644457788dc3424a0c7ff83a4b0fb4c756d5b3cbf3d825f',
+        'npg-hm_seed1.policy': '561171e922a9c25ed781fc4da168040787ca075042f93eda6c94ddacbb0b8fdb',
+        'pg_seed0.csv': '231b94a0a4cd9a5e03455f12c76b472493ecfea2ddd9edef17ab217eb11d8c88',
+        'pg_seed0.policy': 'f833d0e2d46ec7eaceff76552a208f5b1dfcc93fa03f30985fea7ef7fef775ca',
+        'pg_seed1.csv': 'ee16b9860ddf9998695c99628d757a334d9dc7174c3101c22edd7c7c7cefaa1d',
+        'pg_seed1.policy': 'b1bbb8e554611b9863766705e6be14f287fefe9b7dcccfe42774c95aea806805',
+        'summary.json': '6201761d16cc68c6ae33a46295e8aa514d2b503ec48c25c0a4c6f04b90b7d01a',
     },
 }
 

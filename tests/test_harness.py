@@ -311,11 +311,17 @@ class TestCli:
             ["--env", "pointmass", "--set", "policy.trunc_c=inf"],
             ["--env", "pointmass", "--set", "run.eval_trajectories=0"],
             ["--workers", "0"],
+            ["--budget", "-1"],
+            # sweep grids are checked cell by cell before any directory is made
+            ["sweep", "--sweep-alpha0", "-1"],
+            ["sweep", "--sweep-alpha0", "abc"],
+            ["sweep", "--sweep-K", "-1"],
         ],
     )
     def test_bad_config_exits_two_before_training(self, tmp_path, capsys, extra):
         out = tmp_path / "out"
-        argv = ["train", "--env", "chain3", "--alg", "npg-hm", "--T", "3", "--out", str(out)]
+        command, extra = (extra[0], extra[1:]) if extra[0] == "sweep" else ("train", extra)
+        argv = [command, "--env", "chain3", "--alg", "npg-hm", "--T", "3", "--out", str(out)]
         code = cli.main(argv + extra)
         err = capsys.readouterr().err
         assert code == 2
