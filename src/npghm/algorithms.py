@@ -55,6 +55,7 @@ from .estimators import (
 )
 from .natural_gradient import SubproblemConfig, adam_subsolver, exact_npg_direction, npg_sgd, resolve_eta
 from .oracles import compute_constants, exact_fim, exact_return, optimal_return, theoretical_alpha0
+from .policies import empirical_fisher
 from .seeding import substreams
 
 TAU0_RECOMMENDED_MIN = 20.0
@@ -129,8 +130,8 @@ class RunConfig:
     def __post_init__(self):
         if self.big_t < 1:
             raise ValueError("big_t must be >= 1")
-        if self.tau0 <= 0:
-            raise ValueError("tau0 must be positive")
+        if not 0 < self.tau0 < math.inf:
+            raise ValueError("tau0 must be positive and finite")
         if self.tau0 < TAU0_RECOMMENDED_MIN:
             warnings.warn(
                 f"tau0 = {self.tau0} is below the analyzed minimum "
@@ -141,8 +142,8 @@ class RunConfig:
             )
         if isinstance(self.alpha0, str) and self.alpha0 != "theory":
             raise ValueError("alpha0 must be a float or 'theory'")
-        if not isinstance(self.alpha0, str) and self.alpha0 <= 0:
-            raise ValueError("alpha0 must be positive")
+        if not isinstance(self.alpha0, str) and not 0 < self.alpha0 < math.inf:
+            raise ValueError("alpha0 must be positive and finite")
         if isinstance(self.horizon, str) and self.horizon != "auto":
             raise ValueError("horizon must be an int or 'auto'")
         if not isinstance(self.horizon, str) and self.horizon < 1:
@@ -153,6 +154,10 @@ class RunConfig:
             raise ValueError("eval_trajectories must be >= 1")
         if self.force_beta is not None and not 0.0 < self.force_beta <= 1.0:
             raise ValueError("force_beta must be in (0, 1]")
+        if not 0.0 < self.beta_fixed <= 1.0:
+            raise ValueError("beta_fixed must be in (0, 1]")
+        if not 0 < self.harpg_tau0 < math.inf:
+            raise ValueError("harpg_tau0 must be positive and finite")
         if self.pg_step not in ("scheduled", "constant"):
             raise ValueError("pg_step must be 'scheduled' or 'constant'")
 
@@ -186,12 +191,7 @@ def _fisher_floor(policy, samples) -> float:
     """Smallest eigenvalue of the empirical Fisher on its own range: softmax
     scores leave a structural null space that natural-gradient steps never
     enter, so numerically-zero eigenvalues are skipped."""
-    fisher = np.zeros((policy.dim, policy.dim))
-    for s, a in samples:
-        g = policy.score(s, a)
-        fisher += np.outer(g, g)
-    fisher /= len(samples)
-    evals = np.linalg.eigvalsh(fisher)
+    evals = np.linalg.eigvalsh(empirical_fisher([policy.score(s, a) for s, a in samples]))
     cutoff = max(float(evals[-1]), 0.0) * policy.dim * np.finfo(float).eps
     positive = evals[evals > cutoff]
     return float(positive[0]) if positive.size else 0.0

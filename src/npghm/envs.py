@@ -81,19 +81,20 @@ class TabularMdp:
         object.__setattr__(self, "reward", np.asarray(self.reward, dtype=float))
         object.__setattr__(self, "init_dist", np.asarray(self.init_dist, dtype=float))
         p, r, rho = self.transition, self.reward, self.init_dist
-        if p.ndim != 3 or p.shape[0] != p.shape[2]:
-            raise ValueError(f"transition must be (S, A, S), got {p.shape}")
+        if p.ndim != 3 or p.shape[0] != p.shape[2] or 0 in p.shape:
+            raise ValueError(f"transition must be (S, A, S) with S, A >= 1, got {p.shape}")
         if r.shape != p.shape:
             raise ValueError(f"reward shape {r.shape} != transition shape {p.shape}")
         if rho.shape != (p.shape[0],):
             raise ValueError(f"init_dist shape {rho.shape} != ({p.shape[0]},)")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError(f"gamma must be in [0, 1), got {self.gamma}")
-        if np.any(p < -_ATOL) or np.any(np.abs(p.sum(axis=2) - 1.0) > 1e-9):
+        # written as `not (in range)` so that NaN entries fail every check
+        if not (np.all(p >= -_ATOL) and np.all(np.abs(p.sum(axis=2) - 1.0) <= 1e-9)):
             raise ValueError("transition rows must be distributions summing to 1")
-        if np.any(rho < -_ATOL) or abs(rho.sum() - 1.0) > 1e-9:
+        if not (np.all(rho >= -_ATOL) and abs(rho.sum() - 1.0) <= 1e-9):
             raise ValueError("init_dist must be a distribution summing to 1")
-        if np.any(np.abs(r) > 1.0 + _ATOL):
+        if not np.all(np.abs(r) <= 1.0 + _ATOL):
             raise ValueError("rewards must lie in [-1, 1]")
 
     @property

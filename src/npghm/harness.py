@@ -8,6 +8,7 @@ therefore 0.0 unless timing is explicitly requested.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import json
 import math
 import os
@@ -35,49 +36,27 @@ class ConfigError(ValueError):
     """Invalid experiment configuration (CLI exit code 2)."""
 
 
-@dataclass(frozen=True)
-class MetricsRow:
-    """One CSV row; every field is a column, in CSV_COLUMNS order."""
-
-    algorithm: str
-    seed: int
-    t: int
-    trajectories: int
-    wall_ms: float
-    j_hat: float | None
-    gap: float | None
-    u_norm: float
-    w_norm: float
-
-    def csv_cells(self) -> list[str]:
-        def fmt(v):
-            if v is None:
-                return ""
-            if isinstance(v, float):
-                return repr(v)
-            return str(v)
-
-        return [fmt(getattr(self, name)) for name in CSV_COLUMNS]
-
-
 # ---------------------------------------------------------------------------
 # Env / policy registry
 # ---------------------------------------------------------------------------
 
-def make_env(spec: str, policy_opts: dict | None = None):
+def make_env(spec: str):
     """chainN | randomSxA[@seed] | pointmass | file:<path>."""
     spec = spec.strip()
-    m = re.fullmatch(r"chain(\d+)", spec)
-    if m:
-        return chain(int(m.group(1)))
-    m = re.fullmatch(r"random(\d+)x(\d+)(?:@(\d+))?", spec)
-    if m:
-        seed = int(m.group(3)) if m.group(3) else 0
-        return random_mdp(int(m.group(1)), int(m.group(2)), seed=seed)
-    if spec == "pointmass":
-        return pointmass()
-    if spec.startswith("file:"):
-        return load_mdp_text(spec[len("file:"):])
+    try:
+        m = re.fullmatch(r"chain(\d+)", spec)
+        if m:
+            return chain(int(m.group(1)))
+        m = re.fullmatch(r"random(\d+)x(\d+)(?:@(\d+))?", spec)
+        if m:
+            seed = int(m.group(3)) if m.group(3) else 0
+            return random_mdp(int(m.group(1)), int(m.group(2)), seed=seed)
+        if spec == "pointmass":
+            return pointmass()
+        if spec.startswith("file:"):
+            return load_mdp_text(spec[len("file:"):])
+    except (OSError, ValueError) as exc:  # a degenerate size, an unreadable or invalid file
+        raise ConfigError(f"environment {spec!r}: {exc}") from exc
     raise ConfigError(f"unknown environment spec {spec!r}")
 
 
@@ -153,7 +132,6 @@ KNOWN_KEYS = {
     "run.harpg_tau0", "run.pg_step", "run.budget",
     "subproblem.kind", "subproblem.n_iters", "subproblem.eta",
     "subproblem.damping", "subproblem.warm_start",
-    "sweep.alpha0", "sweep.tau0", "sweep.n_iters", "sweep.budget",
 }
 
 
@@ -280,68 +258,78 @@ def build_train_spec(mapping: dict[str, str], out_dir=None) -> TrainSpec:
 # Training
 # ---------------------------------------------------------------------------
 
-def _cell_run_config(spec: TrainSpec, algorithm: str, seed: int) -> RunConfig:
+def _cell(value) -> str:
+    """One CSV cell: "" for None, repr for floats, str otherwise."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def _write_csv(path: Path, algorithm: str, seed: int, records, timing: bool) -> None:
+    """One row per IterateRecord, columns in CSV_COLUMNS order."""
+    fixed = {"algorithm": algorithm, "seed": seed}
+    if not timing:
+        fixed["wall_ms"] = 0.0
+    lines = [",".join(CSV_COLUMNS)]
+    for r in records:
+        lines.append(",".join(_cell(fixed[c] if c in fixed else getattr(r, c)) for c in CSV_COLUMNS))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _write_json(path: Path, payload) -> None:
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def _run_cell(spec: TrainSpec, algorithm: str, seed: int) -> dict | Path:
+    """Train one (algorithm, seed) cell and write its files: the CSV plus
+    the .policy file, or the _diagnostic.json when a non-finite value aborts
+    the run. Returns the cell's summary.json `runs` entry, or the diagnostic
+    path. Runs in a worker process when spec.workers > 1."""
     cfg = replace(spec.run, seed=seed)
     if spec.budget:
         cfg = replace(cfg, big_t=budget_to_big_t(algorithm, spec.budget))
-    return cfg
-
-
-def _run_cell(args):
-    """Worker: one (env, algorithm, seed) training run; picklable payload."""
-    env_spec, algorithm, cfg, sigma, trunc_c = args
-    env = make_env(env_spec)
-    policy = make_policy(env, sigma=sigma, trunc_c=trunc_c)
+    env = make_env(spec.env_spec)
+    policy = make_policy(env, sigma=spec.policy_sigma, trunc_c=spec.policy_trunc_c)
+    stem = f"{algorithm}_seed{seed}"
+    csv_path = spec.out_dir / f"{stem}.csv"
     try:
         result = ALGORITHMS[algorithm](env, policy, cfg)
     except NanAbortError as exc:
-        diag = {
+        _write_csv(csv_path, algorithm, seed, exc.records, spec.timing)
+        state = exc.state
+        diag_path = spec.out_dir / f"{stem}_diagnostic.json"
+        _write_json(diag_path, {
             "algorithm": algorithm,
-            "seed": cfg.seed,
+            "seed": seed,
             "t": exc.t,
             "what": exc.what,
             "theta": np.asarray(exc.theta, dtype=float).tolist(),
-            "momentum_u": exc.state.u.tolist() if exc.state is not None else None,
-            "momentum_theta_prev": (
-                exc.state.theta_prev.tolist() if exc.state is not None else None
-            ),
-            "momentum_t": exc.state.t if exc.state is not None else None,
-        }
-        rows = _records_to_rows(algorithm, cfg.seed, exc.records)
-        return {"aborted": diag, "rows": rows, "meta": None, "theta": None}
-    rows = _records_to_rows(algorithm, cfg.seed, result.records)
+            "momentum_u": state.u.tolist() if state is not None else None,
+            "momentum_theta_prev": state.theta_prev.tolist() if state is not None else None,
+            "momentum_t": state.t if state is not None else None,
+        })
+        return diag_path
+    _write_csv(csv_path, algorithm, seed, result.records, spec.timing)
+    policy_path = spec.out_dir / f"{stem}.policy"
+    save_policy(policy.with_params(result.theta), policy_path)
+    meta = result.meta
+    last = result.records[-1] if result.records else None
     return {
-        "aborted": None,
-        "rows": rows,
-        "meta": result.meta,
-        "theta": result.theta.tolist(),
+        "algorithm": algorithm,
+        "seed": seed,
+        "csv": csv_path.name,
+        "policy": policy_path.name,
+        "big_t": cfg.big_t,
+        "horizon": meta["horizon"],
+        "geom_cap": meta["geom_cap"],
+        "alpha0": meta["alpha0"],
+        "alpha0_theory": meta["alpha0_theory"],
+        "trajectories": meta["trajectories"],
+        "final_j": last.j_hat if last else None,
+        "final_gap": last.gap if last else None,
     }
-
-
-def _records_to_rows(algorithm: str, seed: int, records) -> list[MetricsRow]:
-    return [
-        MetricsRow(
-            algorithm=algorithm,
-            seed=seed,
-            t=r.t,
-            trajectories=r.trajectories,
-            wall_ms=r.wall_ms,
-            j_hat=r.j_hat,
-            gap=r.gap,
-            u_norm=r.u_norm,
-            w_norm=r.w_norm,
-        )
-        for r in records
-    ]
-
-
-def _write_csv(path: Path, rows: list[MetricsRow], timing: bool) -> None:
-    lines = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        if not timing:
-            row = replace(row, wall_ms=0.0)
-        lines.append(",".join(row.csv_cells()))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 @dataclass(frozen=True)
@@ -353,102 +341,53 @@ class TrainOutput:
     diagnostic_paths: list
 
 
+def _stats(values) -> dict:
+    vals = [v for v in values if v is not None]
+    if not vals:
+        return {"median": None, "iqr": None}
+    arr = np.asarray(vals, dtype=float)
+    return {
+        "median": float(np.median(arr)),
+        "iqr": float(np.percentile(arr, 75) - np.percentile(arr, 25)),
+    }
+
+
 def train_experiment(spec: TrainSpec) -> TrainOutput:
-    """Run algorithms x seeds, write one CSV per run plus summary.json."""
+    """Run algorithms x seeds; each cell writes its own files as it finishes,
+    then summary.json is assembled from the cells' entries."""
     spec.out_dir.mkdir(parents=True, exist_ok=True)
-    cells = [
-        (alg, seed, _cell_run_config(spec, alg, seed))
-        for alg in spec.algorithms
-        for seed in spec.seeds
-    ]
-    args = [
-        (spec.env_spec, alg, cfg, spec.policy_sigma, spec.policy_trunc_c)
-        for alg, seed, cfg in cells
-    ]
+    algs = [alg for alg in spec.algorithms for _ in spec.seeds]
+    seeds = [seed for _ in spec.algorithms for seed in spec.seeds]
+    cell = functools.partial(_run_cell, spec)
     if spec.workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            payloads = list(pool.map(_run_cell, args))
+            results = list(pool.map(cell, algs, seeds))
     else:
-        payloads = [_run_cell(a) for a in args]
-
-    env = make_env(spec.env_spec)
-    template = make_policy(env, sigma=spec.policy_sigma, trunc_c=spec.policy_trunc_c)
-    csv_paths, policy_paths, diagnostic_paths = [], [], []
-    per_alg: dict[str, dict] = {alg: {"final_j": {}, "final_gap": {}, "trajectories": {}} for alg in spec.algorithms}
-    runs_meta = []
-    for (alg, seed, cfg), payload in zip(cells, payloads):
-        stem = f"{alg}_seed{seed}"
-        csv_path = spec.out_dir / f"{stem}.csv"
-        _write_csv(csv_path, payload["rows"], spec.timing)
-        csv_paths.append(csv_path)
-        if payload["aborted"] is not None:
-            diag_path = spec.out_dir / f"{stem}_diagnostic.json"
-            diag_path.write_text(
-                json.dumps(payload["aborted"], indent=2, sort_keys=True) + "\n",
-                encoding="utf-8",
-            )
-            diagnostic_paths.append(diag_path)
-            continue
-        policy_path = spec.out_dir / f"{stem}.policy"
-        save_policy(template.with_params(np.asarray(payload["theta"])), policy_path)
-        policy_paths.append(policy_path)
-        meta = payload["meta"]
-        rows = payload["rows"]
-        final_j = rows[-1].j_hat if rows else None
-        final_gap = rows[-1].gap if rows else None
-        per_alg[alg]["final_j"][seed] = final_j
-        per_alg[alg]["final_gap"][seed] = final_gap
-        per_alg[alg]["trajectories"][seed] = meta["trajectories"]
-        runs_meta.append(
-            {
-                "algorithm": alg,
-                "seed": seed,
-                "csv": csv_path.name,
-                "policy": policy_path.name,
-                "big_t": cfg.big_t,
-                "horizon": meta["horizon"],
-                "geom_cap": meta["geom_cap"],
-                "alpha0": meta["alpha0"],
-                "alpha0_theory": meta["alpha0_theory"],
-                "trajectories": meta["trajectories"],
-                "final_j": final_j,
-                "final_gap": final_gap,
-            }
-        )
-
-    def _stats(values):
-        vals = [v for v in values if v is not None]
-        if not vals:
-            return {"median": None, "iqr": None}
-        arr = np.asarray(vals, dtype=float)
-        return {
-            "median": float(np.median(arr)),
-            "iqr": float(np.percentile(arr, 75) - np.percentile(arr, 25)),
-        }
+        results = list(map(cell, algs, seeds))
+    runs = [r for r in results if isinstance(r, dict)]
+    diagnostic_paths = [r for r in results if isinstance(r, Path)]
 
     summary = {
         "env": spec.env_spec,
         "seeds": spec.seeds,
-        "algorithms": {
-            alg: {
-                "final_gap": _stats(per_alg[alg]["final_gap"].values()),
-                "final_j": _stats(per_alg[alg]["final_j"].values()),
-                "trajectories": per_alg[alg]["trajectories"],
-            }
-            for alg in spec.algorithms
-        },
-        "runs": runs_meta,
+        "algorithms": {},
+        "runs": runs,
         "aborted": [p.name for p in diagnostic_paths],
     }
+    for alg in spec.algorithms:
+        mine = [r for r in runs if r["algorithm"] == alg]
+        summary["algorithms"][alg] = {
+            "final_gap": _stats(r["final_gap"] for r in mine),
+            "final_j": _stats(r["final_j"] for r in mine),
+            "trajectories": {r["seed"]: r["trajectories"] for r in mine},
+        }
     summary_path = spec.out_dir / "summary.json"
-    summary_path.write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(summary_path, summary)
     return TrainOutput(
         summary=summary,
         summary_path=summary_path,
-        csv_paths=csv_paths,
-        policy_paths=policy_paths,
+        csv_paths=[spec.out_dir / f"{alg}_seed{seed}.csv" for alg, seed in zip(algs, seeds)],
+        policy_paths=[spec.out_dir / r["policy"] for r in runs],
         diagnostic_paths=diagnostic_paths,
     )
 
@@ -505,7 +444,7 @@ def sweep_experiment(
     header = ["algorithm", "alpha0", "tau0", "n_iters", "final_gap_median", "final_j_median"]
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join("" if row[k] is None else repr(row[k]) if isinstance(row[k], float) else str(row[k]) for k in header))
+        lines.append(",".join(_cell(row[k]) for k in header))
     sweep_path = spec.out_dir / "sweep.csv"
     sweep_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return {"rows": rows, "best": best[1] if best else None, "path": sweep_path}

@@ -49,10 +49,10 @@ class SubproblemConfig:
             raise ValueError(f"unknown subproblem kind {self.kind!r}")
         if self.n_iters < 0:
             raise ValueError("n_iters must be nonnegative")
-        if self.eta != "auto" and not (isinstance(self.eta, (int, float)) and self.eta > 0):
-            raise ValueError("eta must be positive or 'auto'")
-        if self.damping < 0:
-            raise ValueError("damping must be nonnegative")
+        if self.eta != "auto" and not (isinstance(self.eta, (int, float)) and 0 < self.eta < math.inf):
+            raise ValueError("eta must be positive and finite, or 'auto'")
+        if not 0 <= self.damping < math.inf:
+            raise ValueError("damping must be nonnegative and finite")
 
 
 def resolve_eta(cfg: SubproblemConfig, policy: Policy) -> float:

@@ -21,22 +21,7 @@ _HEADER_MAGIC = "npghm-policy v1"
 
 
 class Policy:
-    """Shared slow-path reductions; concrete policies override with
-    vectorized kernels where it matters."""
-
-    def score_sum(self, states, actions, weights) -> np.ndarray:
-        """sum_h weights[h] * score(states[h], actions[h])."""
-        out = np.zeros(self.dim)
-        for s, a, w in zip(states, actions, weights):
-            out += w * self.score(s, a)
-        return out
-
-    def hvp_sum(self, states, actions, weights, x) -> np.ndarray:
-        """sum_h weights[h] * (Hessian of log pi at step h) @ x."""
-        out = np.zeros(self.dim)
-        for s, a, w in zip(states, actions, weights):
-            out += w * self.log_density_hvp(s, a, x)
-        return out
+    """Shared base of the concrete policies."""
 
     def log_prob_safe(self, s, a) -> float:
         """log_prob, but -inf instead of a domain error outside support."""
@@ -330,23 +315,24 @@ def _spectral_norm(policy: Policy, s, a, iters: int = 60) -> float:
     return float(lam)
 
 
+def empirical_fisher(scores) -> np.ndarray:
+    """Mean of g g^T over a nonempty list of score vectors, summed in order."""
+    fisher = np.zeros((len(scores[0]), len(scores[0])))
+    for g in scores:
+        fisher += np.outer(g, g)
+    return fisher / len(scores)
+
+
 def measured_bounds(policy: Policy, samples: Sequence[tuple]) -> MeasuredBounds:
     """Max ||score||^2, max Hessian spectral norm, and the minimum eigenvalue
     of the empirical Fisher matrix over the given (state, action) sample."""
     samples = list(samples)
     if not samples:
         raise ValueError("need at least one (state, action) sample")
-    d = policy.dim
-    fisher = np.zeros((d, d))
-    m_g_hat = 0.0
-    m_h_hat = 0.0
-    for s, a in samples:
-        g = policy.score(s, a)
-        fisher += np.outer(g, g)
-        m_g_hat = max(m_g_hat, float(np.dot(g, g)))
-        m_h_hat = max(m_h_hat, _spectral_norm(policy, s, a))
-    fisher /= len(samples)
-    mu_f_hat = float(np.linalg.eigvalsh(fisher)[0])
+    scores = [policy.score(s, a) for s, a in samples]
+    m_g_hat = max(float(np.dot(g, g)) for g in scores)
+    m_h_hat = max(_spectral_norm(policy, s, a) for s, a in samples)
+    mu_f_hat = float(np.linalg.eigvalsh(empirical_fisher(scores))[0])
     return MeasuredBounds(m_g_hat=m_g_hat, m_h_hat=m_h_hat, mu_f_hat=mu_f_hat)
 
 

@@ -119,6 +119,22 @@ class TestTabularMdp:
         with pytest.raises(ValueError):
             TabularMdp(transition=mdp.transition, reward=mdp.reward, init_dist=mdp.init_dist, gamma=1.0)
 
+    @pytest.mark.parametrize(
+        "table, message",
+        [("transition", "transition rows"), ("reward", "rewards"), ("init_dist", "init_dist")],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_tables(self, table, message, value):
+        mdp = chain(3)
+        tables = {
+            "transition": mdp.transition.copy(),
+            "reward": mdp.reward.copy(),
+            "init_dist": mdp.init_dist.copy(),
+        }
+        tables[table].flat[0] = value
+        with pytest.raises(ValueError, match=message):
+            TabularMdp(gamma=mdp.gamma, **tables)
+
     def test_chain_dynamics(self):
         mdp = chain(4)
         # right from state 2 lands in state 3 and pays 1
@@ -300,6 +316,13 @@ class TestMdpText:
         assert np.array_equal(back.transition, mdp.transition)
         assert np.array_equal(back.reward, mdp.reward)
         assert np.array_equal(back.init_dist, mdp.init_dist)
+
+    def test_nan_transition_rejected(self, tmp_path):
+        # S=1, A=2: the transition rows of state 0 under actions 0 and 1
+        path = tmp_path / "nan.mdp"
+        path.write_text("1 2 0.9\nnan 1\n0 0\n1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="transition"):
+            load_mdp_text(path)
 
     def test_comments_ignored(self, tmp_path):
         mdp = bandit([0.25, 0.75])

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from npghm import cli
+from npghm.algorithms import IterateRecord
 from npghm.envs import PointMassEnv, TabularMdp, chain, dump_mdp_text, random_mdp
 from npghm.harness import (
     CSV_COLUMNS,
     OUTPUT_ROOT_ENV,
     ConfigError,
-    MetricsRow,
+    _write_csv,
     budget_to_big_t,
     build_train_spec,
     make_env,
@@ -181,17 +182,20 @@ class TestBudget:
         assert used == {"npg-hm": 9, "pg": 9}
 
 
-class TestMetricsRow:
-    def test_cells_match_column_order_and_formats(self):
-        row = MetricsRow(
-            algorithm="pg", seed=3, t=7, trajectories=7,
-            wall_ms=0.0, j_hat=None, gap=None, u_norm=1.5, w_norm=0.25,
+class TestCsvCells:
+    def test_cells_match_column_order_and_formats(self, tmp_path):
+        record = IterateRecord(
+            t=7, trajectories=7, beta_t=0.5, alpha_t=0.1,
+            u_norm=1.5, w_norm=0.25, wall_ms=3.25, j_hat=None, gap=None,
         )
-        cells = row.csv_cells()
+        path = tmp_path / "pg_seed3.csv"
+        _write_csv(path, "pg", 3, [record], timing=False)
+        header, (cells,) = read_csv(path)
+        assert header == CSV_COLUMNS
         assert len(cells) == len(CSV_COLUMNS)
         assert cells[0] == "pg"
         assert cells[1] == "3"
-        assert cells[4] == "0.0"
+        assert cells[4] == "0.0"  # wall_ms zeroed without timing
         assert cells[5] == "" and cells[6] == ""
         assert cells[7] == repr(1.5)
 
@@ -316,6 +320,18 @@ class TestCli:
             ["sweep", "--sweep-alpha0", "-1"],
             ["sweep", "--sweep-alpha0", "abc"],
             ["sweep", "--sweep-K", "-1"],
+            # NaN is not a number any range check admits, nor inf a finite one
+            ["--alpha0", "nan"],
+            ["--alpha0", "inf"],
+            ["--tau0", "nan"],
+            ["--tau0", "inf"],
+            ["--env", "file:missing.mdp"],
+            ["--env", "chain1"],
+            ["--env", "random2x0"],
+            ["--alg", "harpg", "--T", "4", "--set", "run.harpg_tau0=-1"],
+            ["--alg", "mnpg", "--set", "run.beta_fixed=5"],
+            ["--set", "subproblem.damping=nan"],
+            ["--set", "sweep.alpha0=abc"],
         ],
     )
     def test_bad_config_exits_two_before_training(self, tmp_path, capsys, extra):
