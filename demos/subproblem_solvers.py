@@ -9,28 +9,17 @@ import numpy as np
 
 from npghm.natural_gradient import (
     SubproblemConfig,
-    TableScorePolicy,
     adam_subsolver,
     averaged_sgd_error_bound,
     exact_npg_direction,
     npg_sgd,
 )
-
-
-def make_problem(lams=(1.0, 0.9, 0.8, 0.7)):
-    d = len(lams)
-    rows = []
-    for i, lam in enumerate(lams):
-        e = np.zeros(d)
-        e[i] = math.sqrt(d * lam)
-        rows += [e, -e]
-    pol = TableScorePolicy(table=np.array(rows) / math.sqrt(2))
-    fisher = pol.table.T @ pol.table / pol.table.shape[0]
-    return pol, fisher
+from npghm.verify import anisotropic_problem
 
 
 def main() -> None:
-    pol, fisher = make_problem()
+    pol = anisotropic_problem((1.0, 0.9, 0.8, 0.7), scale=math.sqrt(2))
+    fisher = pol.table.T @ pol.table / pol.table.shape[0]
     u = np.array([1.0, 0.3, -0.2, 0.1])
     w_hat = np.linalg.solve(fisher, u)
     mu = float(np.linalg.eigvalsh(fisher)[0])

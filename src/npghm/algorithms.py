@@ -187,27 +187,29 @@ class RunResult:
     meta: dict
 
 
-def _fisher_floor(policy, samples) -> float:
-    """Smallest eigenvalue of the empirical Fisher on its own range: softmax
-    scores leave a structural null space that natural-gradient steps never
-    enter, so numerically-zero eigenvalues are skipped."""
+def theory_fisher_floor(env, policy, rng) -> float:
+    """Fisher floor for alpha0='theory': the smallest eigenvalue of the
+    empirical Fisher of 256 draws from rng, on its own range (softmax scores
+    leave a null space that natural-gradient steps never enter, so
+    numerically-zero eigenvalues are skipped). ValueError when degenerate."""
+    samples = [sample_state_action(env, policy, rng) for _ in range(256)]
     evals = np.linalg.eigvalsh(empirical_fisher([policy.score(s, a) for s, a in samples]))
     cutoff = max(float(evals[-1]), 0.0) * policy.dim * np.finfo(float).eps
     positive = evals[evals > cutoff]
-    return float(positive[0]) if positive.size else 0.0
+    mu = float(positive[0]) if positive.size else 0.0
+    if mu <= 1e-12:
+        raise ValueError(
+            "alpha0='theory' needs a nondegenerate Fisher matrix; measured "
+            f"floor was {mu:.3g}"
+        )
+    return mu
 
 
 def _resolve_alpha0(cfg: RunConfig, env, policy, horizon: int, rng) -> tuple[float, float | None]:
     """Numeric alpha0 plus the theory value when it was derived."""
     if cfg.alpha0 != "theory":
         return float(cfg.alpha0), None
-    samples = [sample_state_action(env, policy, rng) for _ in range(256)]
-    mu = _fisher_floor(policy, samples)
-    if mu <= 1e-12:
-        raise ValueError(
-            "alpha0='theory' needs a nondegenerate Fisher matrix; measured "
-            f"floor was {mu:.3g}"
-        )
+    mu = theory_fisher_floor(env, policy, rng)
     constants = compute_constants(policy.m_g, policy.m_h, mu, env.gamma, horizon)
     val = theoretical_alpha0(constants, cfg.tau0)
     return val, val

@@ -84,7 +84,11 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    only = args.only.split(",") if args.only else None
+    only = [g.strip() for g in args.only.split(",") if g.strip()] if args.only else None
+    if only == [] or set(only or ()) - set(verify.CHECKS):
+        raise ConfigError(f"--only must list check groups from {sorted(verify.CHECKS)}, got {args.only!r}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     results = verify.run_checks(only=only, seed=args.seed)
     width = max(len(r.name) for r in results)
     n_fail = 0

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algorithms import ALGORITHMS, METHODS, NanAbortError, RunConfig, check_solver
+from .algorithms import ALGORITHMS, METHODS, NanAbortError, RunConfig, check_solver, theory_fisher_floor
 from .envs import PointMassEnv, TabularMdp, chain, load_mdp_text, pointmass, random_mdp
 from .natural_gradient import SubproblemConfig
 from .policies import (
@@ -27,6 +27,7 @@ from .policies import (
     TruncatedLinearGaussianPolicy,
     save_policy,
 )
+from .seeding import substream
 
 OUTPUT_ROOT_ENV = "NPGHM_OUTPUT_ROOT"
 CSV_COLUMNS = ["algorithm", "seed", "t", "trajectories", "wall_ms", "j_hat", "gap", "u_norm", "w_norm"]
@@ -234,6 +235,9 @@ def build_train_spec(mapping: dict[str, str], out_dir=None) -> TrainSpec:
         policy = make_policy(env, sigma=sigma, trunc_c=trunc_c)
         for alg in algs:
             check_solver(env, policy, run, alg)
+        if alpha0 == "theory":  # each cell redraws the same bounds stream
+            for seed in seeds:
+                theory_fisher_floor(env, policy, substream(seed, "bounds"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -170,14 +170,6 @@ class OptimalSolution:
     pi_star: np.ndarray
     iterations: int
 
-    def as_dict(self) -> dict:
-        return {
-            "j_star": self.j_star,
-            "v_star": self.v_star.tolist(),
-            "greedy_actions": self.greedy_actions.tolist(),
-            "iterations": self.iterations,
-        }
-
 
 def optimal_return(mdp: TabularMdp, tol: float = 1e-10) -> OptimalSolution:
     """Value iteration to sup-norm tolerance `tol`, then the greedy policy's

@@ -146,16 +146,14 @@ class TabularSoftmaxPolicy(Policy):
 
 
 class FeatureMap:
-    """Bounded feature map phi: state -> R^d with ||phi|| <= r_phi."""
+    """Bounded feature map phi: state -> R^d with ||phi|| <= r_phi; a
+    subclass also defines batch(states), one feature row per state."""
 
     r_phi: float
     dim: int
 
     def __call__(self, s) -> np.ndarray:
         raise NotImplementedError
-
-    def batch(self, states) -> np.ndarray:
-        return np.stack([self(s) for s in states])
 
 
 @dataclass(frozen=True)

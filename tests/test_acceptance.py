@@ -2,7 +2,9 @@
 
 Every test prints a single `[pass]`/`[FAIL]` line with the measured quantity
 next to its bound, then asserts. Run with `pytest tests/test_acceptance.py -v -s`
-to see the verdict lines on passing runs too.
+to see the verdict lines on passing runs too. Criteria 01-07 run the check
+bodies of `npghm.verify` (or the helpers those checks are built on) with their
+own generators, sizes and testbeds.
 """
 import math
 import statistics
@@ -20,26 +22,21 @@ from npghm.algorithms import (
     run_npg_hm,
     run_vanilla_pg,
 )
-from npghm.envs import TabularMdp, Trajectory, bandit, chain, random_mdp, sample_trajectories_batch
-from npghm.estimators import hessian_vector_product, truncated_grad
+from npghm.envs import TabularMdp, bandit, chain, random_mdp, sample_trajectories_batch
 from npghm.harness import build_train_spec, train_experiment
-from npghm.natural_gradient import (
-    SubproblemConfig,
-    TableScorePolicy,
-    averaged_sgd_error_bound,
-    npg_sgd,
-)
-from npghm.oracles import (
-    compute_constants,
-    epsilon_bias,
-    exact_policy_gradient,
-    exact_return,
-    exact_truncated_gradient,
-    min_norm_compatible_w,
-    optimal_return,
-    performance_difference,
-)
+from npghm.natural_gradient import SubproblemConfig, averaged_sgd_error_bound
+from npghm.oracles import compute_constants, exact_return, optimal_return
 from npghm.policies import TabularSoftmaxPolicy
+from npghm.verify import (
+    anisotropic_problem,
+    check_estimator_hessian_identity,
+    check_estimator_unbiasedness,
+    gradient_dominance_terms,
+    performance_difference_error,
+    second_moment_ratio,
+    sgd_mse,
+    truncation_biases,
+)
 
 
 def _verdict(ok: bool, label: str, detail: str) -> None:
@@ -51,31 +48,12 @@ def _rng(k: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(2024, spawn_key=(k,)))
 
 
-def _random_softmax(mdp: TabularMdp, rng, scale: float) -> TabularSoftmaxPolicy:
-    d = mdp.n_states * mdp.n_actions
-    return TabularSoftmaxPolicy(mdp.n_states, mdp.n_actions, scale * rng.standard_normal(d))
-
-
 def test_01_gradient_estimator_unbiased():
     # Monte Carlo mean of the truncated-gradient estimator vs the exact
     # truncated gradient, per-coordinate z-scores over 1e5 trajectories.
     start = time.perf_counter()
-    rng = _rng(1)
-    mdp = random_mdp(5, 3, seed=7, gamma=0.9)
-    pol = _random_softmax(mdp, rng, scale=0.8)
-    horizon, n = 50, 100_000
-    states, actions, rewards = sample_trajectories_batch(mdp, pol.logits, horizon, n, rng)
-    total = np.zeros(pol.dim)
-    total_sq = np.zeros(pol.dim)
-    for i in range(n):
-        g = truncated_grad(Trajectory(states[i], actions[i], rewards[i]), pol, mdp.gamma)
-        total += g
-        total_sq += g * g
-    mean = total / n
-    var = np.maximum(total_sq / n - mean**2, 0.0) * n / (n - 1)
-    se = np.sqrt(var / n)
-    exact = exact_truncated_gradient(mdp, pol, horizon)
-    z = float(np.max(np.abs(mean - exact) / np.maximum(se, 1e-12)))
+    n = 100_000
+    z = check_estimator_unbiasedness(rng=_rng(1), n=n).measured
     elapsed = time.perf_counter() - start
     _verdict(
         z <= 4.0 and elapsed <= 120.0,
@@ -87,35 +65,8 @@ def test_01_gradient_estimator_unbiased():
 def test_02_hessian_difference_identity():
     # E_q E_tau[H(tau; theta_hat) dtheta] equals the exact gradient difference
     # between the endpoints, with theta_hat drawn uniformly on the segment.
-    rng = _rng(2)
-    mdp = random_mdp(5, 3, seed=13, gamma=0.9)
-    d = mdp.n_states * mdp.n_actions
-    theta_t = 0.8 * rng.standard_normal(d)
-    delta = rng.standard_normal(d)
-    delta *= 0.1 / np.linalg.norm(delta)
-    theta_prev = theta_t - delta
-    base = TabularSoftmaxPolicy(mdp.n_states, mdp.n_actions, theta_t)
-    horizon, n = 50, 100_000
-    q = rng.random(n)
-    logits = theta_prev[None, :] + q[:, None] * delta[None, :]
-    states, actions, rewards = sample_trajectories_batch(
-        mdp, logits.reshape(n, mdp.n_states, mdp.n_actions), horizon, n, rng
-    )
-    total = np.zeros(d)
-    total_sq = np.zeros(d)
-    for i in range(n):
-        pol_hat = base.with_params(logits[i])
-        traj = Trajectory(states[i], actions[i], rewards[i])
-        hx = hessian_vector_product(traj, pol_hat, mdp.gamma, delta)
-        total += hx
-        total_sq += hx * hx
-    mean = total / n
-    var = np.maximum(total_sq / n - mean**2, 0.0) * n / (n - 1)
-    se = np.sqrt(var / n)
-    rhs = exact_truncated_gradient(mdp, base, horizon) - exact_truncated_gradient(
-        mdp, base.with_params(theta_prev), horizon
-    )
-    z = float(np.max(np.abs(mean - rhs) / np.maximum(se, 1e-12)))
+    n = 100_000
+    z = check_estimator_hessian_identity(rng=_rng(2), horizon=50, n=n).measured
     _verdict(
         z <= 4.0,
         "02 Hessian difference identity",
@@ -134,6 +85,7 @@ def test_03_truncation_bias_bound():
         random_mdp(5, 3, seed=7, gamma=0.9),
         random_mdp(4, 2, seed=3, gamma=0.9),
     ]
+    horizons = (5, 10, 20, 50)
     worst_slack = -math.inf
     worst_ratio = 0.0
     for mdp in testbeds:
@@ -141,11 +93,7 @@ def test_03_truncation_bias_bound():
         thetas = [np.zeros(d)] + [0.8 * rng.standard_normal(d) for _ in range(2)]
         for theta in thetas:
             pol = TabularSoftmaxPolicy(mdp.n_states, mdp.n_actions, theta)
-            full = exact_policy_gradient(mdp, pol)
-            for horizon in (5, 10, 20, 50):
-                consts = compute_constants(pol.m_g, pol.m_h, 1.0, mdp.gamma, horizon)
-                bias = float(np.linalg.norm(exact_truncated_gradient(mdp, pol, horizon) - full))
-                bound = consts.g_g * mdp.gamma**horizon
+            for horizon, (bias, bound) in zip(horizons, truncation_biases(mdp, pol, horizons)):
                 worst_slack = max(worst_slack, bias - bound)
                 worst_ratio = max(worst_ratio, bias / mdp.gamma**horizon)
     _verdict(
@@ -165,18 +113,11 @@ def test_04_estimator_second_moment_bounds():
     consts = compute_constants(2.0, 0.5, 1.0, mdp.gamma, horizon)
     worst = 0.0
     for _ in range(20):
-        pol = _random_softmax(mdp, rng, scale=1.0)
+        pol = TabularSoftmaxPolicy(5, 3, rng.standard_normal(15))
         x = rng.standard_normal(pol.dim)
         x /= np.linalg.norm(x)
-        states, actions, rewards = sample_trajectories_batch(mdp, pol.logits, horizon, n, rng)
-        g_sq = h_sq = 0.0
-        for i in range(n):
-            traj = Trajectory(states[i], actions[i], rewards[i])
-            g = truncated_grad(traj, pol, mdp.gamma)
-            hx = hessian_vector_product(traj, pol, mdp.gamma, x)
-            g_sq += float(g @ g)
-            h_sq += float(hx @ hx)
-        worst = max(worst, (g_sq / n) / consts.nu_g_sq, (h_sq / n) / consts.nu_h_sq)
+        batch = sample_trajectories_batch(mdp, pol.logits, horizon, n, rng)
+        worst = max(worst, second_moment_ratio(mdp, pol, x, batch, consts))
     _verdict(
         worst <= 1.0,
         "04 estimator second-moment bounds",
@@ -189,27 +130,18 @@ def test_05_subproblem_rate():
     # worst-case bound at K in {100, 1000, 10000} (100 repeats each) and the
     # 1/K rate via error(K) / error(8K) in [4, 16].
     d = 4
-    lams = (1.0, 0.9, 0.8, 0.7)
-    rows = []
-    for i, lam in enumerate(lams):
-        e = np.zeros(d)
-        e[i] = math.sqrt(d * lam)
-        rows += [e, -e]
-    pol = TableScorePolicy(table=np.array(rows) / math.sqrt(2))
+    pol = anisotropic_problem((1.0, 0.9, 0.8, 0.7), scale=math.sqrt(2))
     fisher = pol.table.T @ pol.table / pol.table.shape[0]
     u = np.array([1.0, 0.3, -0.2, 0.1])
     w_hat = np.linalg.solve(fisher, u)
     mu = float(np.linalg.eigvalsh(fisher)[0])
 
     def mse(k: int, salt: int) -> float:
-        errs = []
-        for rep in range(100):
-            rng = np.random.default_rng(np.random.SeedSequence(900 + salt, spawn_key=(rep, k)))
-            w = npg_sgd(
-                pol.make_sampler(rng), pol, u, SubproblemConfig(kind="sgd_average", n_iters=k)
-            )
-            errs.append(float(np.sum((w - w_hat) ** 2)))
-        return float(np.mean(errs))
+        rngs = (
+            np.random.default_rng(np.random.SeedSequence(900 + salt, spawn_key=(rep, k)))
+            for rep in range(100)
+        )
+        return sgd_mse(pol, u, w_hat, k, rngs)
 
     details = []
     ok = True
@@ -231,11 +163,7 @@ def test_06_performance_difference_identity():
         n_s = int(rng.integers(3, 7))
         n_a = int(rng.integers(2, 5))
         mdp = random_mdp(n_s, n_a, seed=300 + i, gamma=0.9)
-        pi_a = rng.dirichlet(np.ones(n_a), size=n_s)
-        pi_b = rng.dirichlet(np.ones(n_a), size=n_s)
-        lhs = exact_return(mdp, pi_a) - exact_return(mdp, pi_b)
-        rhs = performance_difference(mdp, pi_a, pi_b)
-        worst = max(worst, abs(lhs - rhs))
+        worst = max(worst, performance_difference_error(mdp, rng))
     _verdict(
         worst <= 1e-8,
         "06 performance difference identity",
@@ -246,20 +174,7 @@ def test_06_performance_difference_identity():
 def test_07_gradient_dominance():
     # (J* - J)^2 / 2 <= M_g ||w*||^2 + eps_bias / (1-gamma)^2 at 200 random
     # softmax parameters on the chain; eps_bias itself must be ~0 here.
-    rng = _rng(7)
-    mdp = chain(5, gamma=0.9)
-    j_star = optimal_return(mdp).j_star
-    m_g = 2.0
-    worst_residual = -math.inf
-    worst_eps = 0.0
-    for _ in range(200):
-        pol = _random_softmax(mdp, rng, scale=1.5)
-        w_star = min_norm_compatible_w(mdp, pol)
-        eps = epsilon_bias(mdp, pol, w_star)
-        gap = j_star - exact_return(mdp, pol)
-        lhs = m_g * float(w_star @ w_star) + eps / (1 - mdp.gamma) ** 2
-        worst_residual = max(worst_residual, 0.5 * gap**2 - lhs)
-        worst_eps = max(worst_eps, eps)
+    worst_residual, worst_eps = gradient_dominance_terms(_rng(7), points=200)
     _verdict(
         worst_residual <= 1e-9 and worst_eps <= 1e-8,
         "07 gradient dominance",

@@ -332,6 +332,7 @@ class TestCli:
             ["--alg", "mnpg", "--set", "run.beta_fixed=5"],
             ["--set", "subproblem.damping=nan"],
             ["--set", "sweep.alpha0=abc"],
+            ["--env", "random1x1", "--alg", "pg", "--alpha0", "theory", "--subsolver", "identity"],
         ],
     )
     def test_bad_config_exits_two_before_training(self, tmp_path, capsys, extra):
@@ -391,6 +392,24 @@ class TestCli:
         assert "checks passed" in captured.out
         payload = json.loads(report.read_text(encoding="utf-8"))
         assert all(entry["passed"] for entry in payload)
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--only", "nope"], ["--only", "oracles,nope"], ["--only", ","], ["--seed", "-1"]],
+    )
+    def test_bad_verify_input_exits_two_before_any_check(self, tmp_path, capsys, extra):
+        report = tmp_path / "checks.json"
+        code = cli.main(["verify", "--report", str(report)] + extra)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("configuration error")
+        assert not report.exists()
+
+    def test_verify_skips_empty_group_entry(self, capsys):
+        assert cli.main(["verify", "--only", "oracles,"]) == 0
+        assert "6/6 checks passed" in capsys.readouterr().out
 
     def test_sweep_subcommand(self, tmp_path, capsys):
         argv = wrap_train_args(tmp_path) + ["--sweep-alpha0", "0.05,0.5"]
