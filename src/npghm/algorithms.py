@@ -23,6 +23,12 @@ theta_hat, and w the likelihood ratio of tau_t under theta_{t-1} over
 theta_t. force_beta pins beta_t for every method; pg_step = "constant" drops
 the sqrt(beta_t) factor from pg's step only.
 
+g(tau_t; theta_t) is computed once per iteration: it is pg's u_t, u_1 and the
+fresh term of estimators.storm_step, the one statement of the recursion. The
+loop builds one policy per parameter vector: the one at theta_hat both draws
+tau_hat and forms the Hessian correction, and the importance weight reuses
+the previous iteration's policy at theta_{t-1}.
+
 Iteration/bookkeeping contract, with T the configured iteration budget:
 the loop body runs for t = 1..T-1 and returns theta_T, so T = 1 is a no-op.
 The methods with the Hessian correction sample exactly 2 trajectories per
@@ -298,12 +304,11 @@ def _train(env, policy, cfg: RunConfig, name: str) -> RunResult:
     horizon = auto_horizon(gamma, cfg.big_t, cfg.tau0) if cfg.horizon == "auto" else int(cfg.horizon)
     alpha0, alpha0_theory = _resolve_alpha0(cfg, env, policy, horizon, streams["bounds"])
     evaluate = _evaluator(env, cfg, horizon, streams["evaluation"])
-    factory = policy.with_params
     constant_step = method.correction is None and cfg.pg_step == "constant"
 
     theta = np.array(policy.theta, dtype=float)
-    pol = policy
-    state: MomentumState | None = None
+    pol = pol_prev = policy
+    state: MomentumState | None = None  # stays None for pg, which carries no momentum
     w_prev = np.zeros(policy.dim)
     records: list[IterateRecord] = []
     n_traj = 0
@@ -316,29 +321,27 @@ def _train(env, policy, cfg: RunConfig, name: str) -> RunResult:
         else:
             beta_t = beta_schedule(t, getattr(cfg, method.beta))
         alpha_t = alpha0 if constant_step else alpha0 * math.sqrt(beta_t)
-        if method.correction == "hessian" and t > 1:
+        hessian = state is not None and method.correction == "hessian"
+        if hessian:
             q = streams["q"].random()
-            theta_hat = q * theta + (1.0 - q) * state.theta_prev
-            traj_t = sample_trajectory(env, pol, horizon, streams["trajectory"])
-            traj_hat = sample_trajectory(env, factory(theta_hat), horizon, streams["trajectory"])
-            n_traj += 2
-            state = momentum_update_hessian(
-                state, theta, traj_t, traj_hat, theta_hat, beta_t, factory, gamma
-            )
-        else:
-            traj_t = sample_trajectory(env, pol, horizon, streams["trajectory"])
-            n_traj += 1
-            if method.correction is not None and t == 1:
-                state = MomentumState.initial(traj_t, theta, factory, gamma)
-            elif method.correction == "is":
-                state = momentum_update_is(state, theta, traj_t, beta_t, factory, gamma)
-        u = truncated_grad(traj_t, pol, gamma) if state is None else state.u
+            pol_hat = pol.with_params(q * theta + (1.0 - q) * state.theta_prev)
+        traj_t = sample_trajectory(env, pol, horizon, streams["trajectory"])
+        u = fresh = truncated_grad(traj_t, pol, gamma)
+        if hessian:
+            traj_hat = sample_trajectory(env, pol_hat, horizon, streams["trajectory"])
+            delta = theta - state.theta_prev
+            u = momentum_update_hessian(state.u, fresh, beta_t, traj_hat, pol_hat, delta, gamma)
+        elif state is not None:  # the importance-sampling correction
+            u = momentum_update_is(state.u, fresh, beta_t, traj_t, pol_prev, pol, gamma)
+        n_traj += 2 if hessian else 1
+        if method.correction is not None:
+            state = MomentumState(u=u, theta_prev=theta, t=t)
         _check_finite("g" if state is None else "u", u, t, theta, state, records)
         w = _solve_direction(env, pol, u, cfg, streams["subproblem"], w_prev) if method.solve else u
         _check_finite("w", w, t, theta, state, records)
-        theta_t, theta = theta, theta + alpha_t * w
+        theta = theta + alpha_t * w
         _check_finite("theta", theta, t, theta, state, records)
-        pol = pol.with_params(theta)
+        pol_prev, pol = pol, pol.with_params(theta)
         w_prev = w
         last = t == cfg.big_t - 1
         j_hat, gap = evaluate(pol) if last or t % cfg.eval_interval == 0 else (None, None)
@@ -355,7 +358,7 @@ def _train(env, policy, cfg: RunConfig, name: str) -> RunResult:
                 gap=gap,
                 u=u.copy() if cfg.store_vectors else None,
                 w=np.asarray(w, dtype=float).copy() if cfg.store_vectors else None,
-                fresh=truncated_grad(traj_t, factory(theta_t), gamma) if cfg.store_vectors else None,
+                fresh=fresh if cfg.store_vectors else None,
             )
         )
     meta = {

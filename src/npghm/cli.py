@@ -89,6 +89,9 @@ def _cmd_verify(args) -> int:
         raise ConfigError(f"--only must list check groups from {sorted(verify.CHECKS)}, got {args.only!r}")
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    report = Path(args.report) if args.report else None
+    if report and (report.is_dir() or not report.parent.is_dir()):
+        raise ConfigError(f"--report must be a file in an existing directory, got {args.report!r}")
     results = verify.run_checks(only=only, seed=args.seed)
     width = max(len(r.name) for r in results)
     n_fail = 0
@@ -97,9 +100,9 @@ def _cmd_verify(args) -> int:
         n_fail += not r.passed
         print(f"[{status}] {r.group:>16} {r.name:<{width}}  measured={r.measured:.3e} bound={r.bound:.3e}")
     print(f"{len(results) - n_fail}/{len(results)} checks passed")
-    if args.report:
+    if report:
         payload = [r.row() for r in results]
-        Path(args.report).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        report.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
         print(f"report: {args.report}")
     return 0 if n_fail == 0 else 1
 

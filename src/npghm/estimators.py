@@ -1,5 +1,5 @@
 """Trajectory-based first- and second-order gradient estimators and the
-momentum recursions built on them.
+momentum recursion built on them.
 
 All estimators work on a truncated trajectory of horizon H and use absolute
 discounting: the reward-to-go at step h is R_h = sum_{i=h}^{H-1} gamma^i r_i
@@ -14,6 +14,11 @@ J^H = E[sum_{h<H} gamma^h r_h]. The trajectory Hessian acts on a vector x as
                       + sum_h R_h * (Hessian of log pi at step h) @ x,
 
 which costs O(H d) instead of materializing a d x d matrix.
+
+The momentum recursion u_t = beta_t g_t + (1 - beta_t) [u_{t-1} + correction_t]
+is written once, in storm_step. momentum_update_hessian and
+momentum_update_is supply its two corrections; every function here takes
+the policies it needs and builds none.
 """
 from __future__ import annotations
 
@@ -52,22 +57,6 @@ def truncated_grad(traj: Trajectory, policy: Policy, gamma: float) -> np.ndarray
     """Unbiased estimate of grad J^H from one trajectory."""
     r2g = reward_to_go(traj.rewards, gamma)
     return policy.score_sum(traj.states[:-1], traj.actions, r2g)
-
-
-def baseline_grad(
-    traj: Trajectory, policy: Policy, gamma: float, baseline: Callable
-) -> np.ndarray:
-    """Baseline-shifted estimator with b(s_h) subtracted inside the inner
-    reward sum: sum_h [R_h - (H - h) * b(s_h)] * score_h.
-
-    Any state-only baseline keeps the estimate unbiased because the score
-    has zero conditional mean given s_h.
-    """
-    h = traj.horizon
-    r2g = reward_to_go(traj.rewards, gamma)
-    b = np.array([baseline(s) for s in traj.states[:-1]], dtype=float)
-    weights = r2g - (h - np.arange(h)) * b
-    return policy.score_sum(traj.states[:-1], traj.actions, weights)
 
 
 def hessian_vector_product(
@@ -129,70 +118,64 @@ class MomentumState:
     theta_prev: np.ndarray
     t: int
 
-    @classmethod
-    def initial(
-        cls, traj: Trajectory, theta: np.ndarray, policy_factory: Callable, gamma: float
-    ) -> "MomentumState":
-        """Bootstrap u_1 = g(tau_1; theta_1)."""
-        u = truncated_grad(traj, policy_factory(theta), gamma)
-        return cls(u=u, theta_prev=np.asarray(theta, dtype=float), t=1)
+
+def storm_step(fresh: np.ndarray, beta_t: float, carried: Callable[[], np.ndarray]) -> np.ndarray:
+    """The STORM-type recursion u_t = beta_t g_t + (1 - beta_t) carried(),
+    where carried() returns u_{t-1} plus the method's correction.
+
+    At beta_t = 1 this is fresh itself and carried is never called, so no
+    correction (HVP, importance weight) is formed and none can raise.
+    """
+    if beta_t == 1.0:
+        return fresh
+    return beta_t * fresh + (1.0 - beta_t) * carried()
 
 
 def momentum_update_hessian(
-    state: MomentumState,
-    theta_t: np.ndarray,
-    traj_t: Trajectory,
-    traj_hat: Trajectory,
-    theta_hat: np.ndarray,
+    u_prev: np.ndarray,
+    fresh: np.ndarray,
     beta_t: float,
-    policy_factory: Callable,
+    traj_hat: Trajectory,
+    policy_hat: Policy,
+    delta: np.ndarray,
     gamma: float,
-) -> MomentumState:
+) -> np.ndarray:
     """Hessian-aided momentum step:
 
     u_t = beta_t g(tau_t; theta_t)
           + (1-beta_t) [u_{t-1} + H(tau_hat; theta_hat)(theta_t - theta_{t-1})]
 
-    With theta_hat = q theta_t + (1-q) theta_{t-1}, q ~ U(0,1), the Hessian
-    term is an unbiased correction, so the bias of u_t telescopes with
-    factors (1-beta).
+    with fresh = g(tau_t; theta_t), delta = theta_t - theta_{t-1} and
+    policy_hat at theta_hat = q theta_t + (1-q) theta_{t-1}, q ~ U(0,1). The
+    Hessian term is then an unbiased correction, so the bias of u_t
+    telescopes with factors (1-beta).
     """
-    theta_t = np.asarray(theta_t, dtype=float)
-    fresh = truncated_grad(traj_t, policy_factory(theta_t), gamma)
-    if beta_t == 1.0:
-        u = fresh
-    else:
-        delta = theta_t - state.theta_prev
-        correction = hessian_vector_product(
-            traj_hat, policy_factory(theta_hat), gamma, delta
-        )
-        u = beta_t * fresh + (1.0 - beta_t) * (state.u + correction)
-    return MomentumState(u=u, theta_prev=theta_t, t=state.t + 1)
+    return storm_step(
+        fresh, beta_t, lambda: u_prev + hessian_vector_product(traj_hat, policy_hat, gamma, delta)
+    )
 
 
 def momentum_update_is(
-    state: MomentumState,
-    theta_t: np.ndarray,
-    traj_t: Trajectory,
+    u_prev: np.ndarray,
+    fresh: np.ndarray,
     beta_t: float,
-    policy_factory: Callable,
+    traj_t: Trajectory,
+    policy_old: Policy,
+    policy_new: Policy,
     gamma: float,
-) -> MomentumState:
+) -> np.ndarray:
     """Importance-sampling momentum step (one trajectory per iteration):
 
     v_t = beta_t g(tau_t; theta_t)
           + (1-beta_t) [v_{t-1} + g(tau_t; theta_t) - w * g(tau_t; theta_{t-1})]
 
-    where w is the trajectory likelihood ratio of theta_{t-1} over theta_t.
+    with fresh = g(tau_t; theta_t) and w the trajectory likelihood ratio of
+    policy_old (theta_{t-1}) over policy_new (theta_t), which sampled tau_t.
     """
-    theta_t = np.asarray(theta_t, dtype=float)
-    policy_new = policy_factory(theta_t)
-    fresh = truncated_grad(traj_t, policy_new, gamma)
-    if beta_t == 1.0:
-        u = fresh
-    else:
-        policy_old = policy_factory(state.theta_prev)
+
+    def carried():
         w = importance_weight(traj_t, policy_old, policy_new)
         g_old = truncated_grad(traj_t, policy_old, gamma) if w != 0.0 else 0.0
-        u = beta_t * fresh + (1.0 - beta_t) * (state.u + fresh - w * g_old)
-    return MomentumState(u=u, theta_prev=theta_t, t=state.t + 1)
+        return u_prev + fresh - w * g_old  # this addition order is part of the pinned outputs
+
+    return storm_step(fresh, beta_t, carried)

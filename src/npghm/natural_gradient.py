@@ -21,6 +21,9 @@ from .policies import Policy
 
 Sampler = Callable[[], tuple]
 
+# Adam's moment decays and denominator guard (Kingma & Ba's defaults).
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass(frozen=True)
 class SubproblemConfig:
@@ -40,9 +43,6 @@ class SubproblemConfig:
     damping: float = 1e-3
     warm_start: bool = False
     adam_lr: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if self.kind not in ("sgd_average", "adam", "exact", "identity"):
@@ -100,7 +100,7 @@ def adam_subsolver(
     w = np.zeros_like(u) if w0 is None else np.array(w0, dtype=float)
     m = np.zeros_like(w)
     v = np.zeros_like(w)
-    b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     for k in range(1, cfg.n_iters + 1):
         s, a = sampler()
         x = policy.score(s, a)

@@ -214,9 +214,9 @@ class TruncatedLinearGaussianPolicy(Policy):
         th = np.asarray(self.theta, dtype=float).reshape(-1)
         if th.size != self.features.dim:
             raise ValueError(f"theta size {th.size} != feature dim {self.features.dim}")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-        if self.trunc_c <= 0:
+        if not 0 < self.sigma < math.inf:
+            raise ValueError("sigma must be positive and finite")
+        if not self.trunc_c > 0:  # inf (no truncation) is allowed, NaN is not
             raise ValueError("trunc_c must be positive")
         object.__setattr__(self, "theta", th)
 

@@ -365,17 +365,19 @@ def check_estimator_momentum_collapse(seed: int) -> CheckResult:
     pol = _random_softmax(mdp, rng)
     factory = pol.with_params
     traj1 = envs.sample_trajectory(mdp, pol, 20, rng)
-    state = estimators.MomentumState.initial(traj1, pol.theta, factory, mdp.gamma)
+    u1 = estimators.truncated_grad(traj1, pol, mdp.gamma)
     theta2 = pol.theta + 0.05 * rng.standard_normal(pol.dim)
-    traj2 = envs.sample_trajectory(mdp, factory(theta2), 20, rng)
-    traj_hat = envs.sample_trajectory(mdp, factory(theta2), 20, rng)
+    pol2 = factory(theta2)
+    traj2 = envs.sample_trajectory(mdp, pol2, 20, rng)
+    traj_hat = envs.sample_trajectory(mdp, pol2, 20, rng)
+    g2 = estimators.truncated_grad(traj2, pol2, mdp.gamma)
     new = estimators.momentum_update_hessian(
-        state, theta2, traj2, traj_hat, theta2, 1.0, factory, mdp.gamma
+        u1, g2, 1.0, traj_hat, pol2, theta2 - pol.theta, mdp.gamma
     )
     fresh = estimators.truncated_grad(traj2, factory(theta2), mdp.gamma)
-    ok_h = np.array_equal(new.u, fresh)
-    new_is = estimators.momentum_update_is(state, theta2, traj2, 1.0, factory, mdp.gamma)
-    ok_is = np.array_equal(new_is.u, fresh)
+    ok_h = np.array_equal(new, fresh)
+    new_is = estimators.momentum_update_is(u1, g2, 1.0, traj2, pol, pol2, mdp.gamma)
+    ok_is = np.array_equal(new_is, fresh)
     return _result(
         "estimators", "momentum_beta1_collapse",
         "beta=1 makes both momentum updates equal the fresh estimate bitwise",

@@ -17,10 +17,12 @@ from npghm.algorithms import (
     run_npg_hm,
     run_vanilla_pg,
 )
-from npghm.envs import TabularMdp, bandit, chain, random_mdp
+from npghm.envs import TabularMdp, bandit, chain, random_mdp, sample_trajectory
+from npghm.estimators import truncated_grad
 from npghm.natural_gradient import SubproblemConfig
 from npghm.oracles import exact_return, exact_truncated_gradient, optimal_return
 from npghm.policies import TabularSoftmaxPolicy
+from npghm.seeding import substream
 
 
 def quiet_config(**kwargs):
@@ -191,6 +193,22 @@ class TestEquivalences:
             res = runner(mdp, pol, cfg)
             for rec in res.records:
                 assert np.array_equal(rec.u, rec.fresh), runner.__name__
+
+    def test_first_direction_is_fresh_gradient(self):
+        # u_1 = g(tau_1; theta_1) for every momentum method although beta_1 < 1,
+        # and g(tau_1; theta_1) is the gradient of the first trajectory drawn
+        mdp = chain(4)
+        pol = TabularSoftmaxPolicy.zeros(4, 2)
+        cfg = RunConfig(big_t=3, alpha0=0.05, seed=4, store_vectors=True,
+                        subproblem=SubproblemConfig(kind="identity"))
+        traj = sample_trajectory(mdp, pol, auto_horizon(mdp.gamma, 3, cfg.tau0),
+                                 substream(4, "trajectory"))
+        g1 = truncated_grad(traj, pol, mdp.gamma)
+        for runner in (run_npg_hm, run_harpg, run_mnpg):
+            first = runner(mdp, pol, cfg).records[0]
+            assert first.beta_t < 1.0
+            assert np.array_equal(first.u, first.fresh), runner.__name__
+            assert np.array_equal(first.fresh, g1), runner.__name__
 
     def test_zero_rewards_freeze_theta(self):
         mdp = zero_reward_mdp()

@@ -9,15 +9,14 @@ from hypothesis import strategies as st
 from npghm.envs import Trajectory, chain, random_mdp, sample_trajectory
 from npghm.estimators import (
     ImportanceWeightWarning,
-    MomentumState,
     PolicySupportError,
-    baseline_grad,
     hessian_vector_product,
     importance_weight,
     log_importance_weight,
     momentum_update_hessian,
     momentum_update_is,
     reward_to_go,
+    storm_step,
     truncated_grad,
 )
 from npghm.oracles import exact_truncated_gradient
@@ -104,32 +103,6 @@ class TestTruncatedGrad:
         se = np.sqrt(np.maximum(sq / n - mean**2, 1e-30) / n)
         exact = exact_truncated_gradient(mdp, pol, horizon)
         assert np.all(np.abs(mean - exact) < 5 * se + 1e-9)
-
-
-class TestBaselines:
-    def test_constant_baseline_keeps_expectation(self):
-        # replay the same trajectory set with and without a crude baseline;
-        # the per-trajectory estimates differ but the average converges to
-        # the same oracle value
-        mdp = random_mdp(3, 2, seed=7, gamma=0.8)
-        pol = softmax(mdp, 0.2 * np.random.default_rng(8).standard_normal(6))
-        horizon = 10
-        rng = substream(2, "trajectory")
-        n = 6000
-        b0 = 0.37
-        plain = np.zeros(pol.dim)
-        shifted = np.zeros(pol.dim)
-        sq = np.zeros(pol.dim)
-        for _ in range(n):
-            traj = sample_trajectory(mdp, pol, horizon, rng)
-            plain += truncated_grad(traj, pol, mdp.gamma)
-            g = baseline_grad(traj, pol, mdp.gamma, lambda s: b0)
-            shifted += g
-            sq += g * g
-        plain /= n
-        shifted /= n
-        se = np.sqrt(np.maximum(sq / n - shifted**2, 1e-30) / n)
-        assert np.all(np.abs(plain - shifted) < 6 * se + 1e-9)
 
 
 class TestHessianVectorProduct:
@@ -231,61 +204,65 @@ class TestMomentum:
         factory = lambda th: softmax(mdp, th)
         return mdp, theta_prev, theta_t, factory
 
-    def test_initial_state_is_fresh_gradient(self):
-        mdp, theta_prev, _, factory = self._setup(18)
-        traj = sample_trajectory(mdp, factory(theta_prev), 10, substream(7, "trajectory"))
-        state = MomentumState.initial(traj, theta_prev, factory, mdp.gamma)
-        assert np.array_equal(state.u, truncated_grad(traj, factory(theta_prev), mdp.gamma))
-        assert state.t == 1
-
     def test_beta_one_is_bitwise_fresh(self):
         mdp, theta_prev, theta_t, factory = self._setup(19)
         rng = substream(8, "trajectory")
         traj0 = sample_trajectory(mdp, factory(theta_prev), 10, rng)
-        state = MomentumState.initial(traj0, theta_prev, factory, mdp.gamma)
+        u_prev = truncated_grad(traj0, factory(theta_prev), mdp.gamma)
         traj_t = sample_trajectory(mdp, factory(theta_t), 10, rng)
         traj_hat = sample_trajectory(mdp, factory(theta_t), 10, rng)
         fresh = truncated_grad(traj_t, factory(theta_t), mdp.gamma)
+        g_t = truncated_grad(traj_t, factory(theta_t), mdp.gamma)
+        theta_hat = 0.5 * (theta_t + theta_prev)
         upd_h = momentum_update_hessian(
-            state, theta_t, traj_t, traj_hat, 0.5 * (theta_t + theta_prev), 1.0, factory, mdp.gamma
+            u_prev, g_t, 1.0, traj_hat, factory(theta_hat), theta_t - theta_prev, mdp.gamma
         )
-        upd_is = momentum_update_is(state, theta_t, traj_t, 1.0, factory, mdp.gamma)
-        assert np.array_equal(upd_h.u, fresh)
-        assert np.array_equal(upd_is.u, fresh)
+        upd_is = momentum_update_is(
+            u_prev, g_t, 1.0, traj_t, factory(theta_prev), factory(theta_t), mdp.gamma
+        )
+        assert np.array_equal(upd_h, fresh)
+        assert np.array_equal(upd_is, fresh)
+
+        def carried():
+            raise AssertionError("no correction is formed at beta_t = 1")
+
+        assert storm_step(g_t, 1.0, carried) is g_t
 
     def test_hessian_update_formula(self):
         mdp, theta_prev, theta_t, factory = self._setup(20)
         rng = substream(9, "trajectory")
         traj0 = sample_trajectory(mdp, factory(theta_prev), 10, rng)
-        state = MomentumState.initial(traj0, theta_prev, factory, mdp.gamma)
+        u_prev = truncated_grad(traj0, factory(theta_prev), mdp.gamma)
         traj_t = sample_trajectory(mdp, factory(theta_t), 10, rng)
         q = 0.35
         theta_hat = q * theta_t + (1 - q) * theta_prev
         traj_hat = sample_trajectory(mdp, factory(theta_hat), 10, rng)
         beta = 0.4
+        g_t = truncated_grad(traj_t, factory(theta_t), mdp.gamma)
         upd = momentum_update_hessian(
-            state, theta_t, traj_t, traj_hat, theta_hat, beta, factory, mdp.gamma
+            u_prev, g_t, beta, traj_hat, factory(theta_hat), theta_t - theta_prev, mdp.gamma
         )
         fresh = truncated_grad(traj_t, factory(theta_t), mdp.gamma)
         corr = hessian_vector_product(traj_hat, factory(theta_hat), mdp.gamma, theta_t - theta_prev)
-        expected = beta * fresh + (1 - beta) * (state.u + corr)
-        assert np.allclose(upd.u, expected, atol=1e-14)
-        assert upd.t == 2
-        assert np.array_equal(upd.theta_prev, theta_t)
+        expected = beta * fresh + (1 - beta) * (u_prev + corr)
+        assert np.allclose(upd, expected, atol=1e-14)
 
     def test_is_update_formula(self):
         mdp, theta_prev, theta_t, factory = self._setup(21)
         rng = substream(10, "trajectory")
         traj0 = sample_trajectory(mdp, factory(theta_prev), 10, rng)
-        state = MomentumState.initial(traj0, theta_prev, factory, mdp.gamma)
+        u_prev = truncated_grad(traj0, factory(theta_prev), mdp.gamma)
         traj_t = sample_trajectory(mdp, factory(theta_t), 10, rng)
         beta = 0.25
-        upd = momentum_update_is(state, theta_t, traj_t, beta, factory, mdp.gamma)
+        g_t = truncated_grad(traj_t, factory(theta_t), mdp.gamma)
+        upd = momentum_update_is(
+            u_prev, g_t, beta, traj_t, factory(theta_prev), factory(theta_t), mdp.gamma
+        )
         fresh = truncated_grad(traj_t, factory(theta_t), mdp.gamma)
         w = importance_weight(traj_t, factory(theta_prev), factory(theta_t))
         g_old = truncated_grad(traj_t, factory(theta_prev), mdp.gamma)
-        expected = beta * fresh + (1 - beta) * (state.u + fresh - w * g_old)
-        assert np.allclose(upd.u, expected, atol=1e-14)
+        expected = beta * fresh + (1 - beta) * (u_prev + fresh - w * g_old)
+        assert np.allclose(upd, expected, atol=1e-14)
 
     def test_bias_telescopes_with_deliberate_offset(self):
         # plant a bias b0 in u_{t-1}; after one Hessian-aided update the
@@ -298,11 +275,7 @@ class TestMomentum:
         horizon = 3
         beta = 0.3
         b0 = np.full(6, 0.25)
-        base_state = MomentumState(
-            u=exact_truncated_gradient(mdp, factory(theta_prev), horizon) + b0,
-            theta_prev=theta_prev,
-            t=1,
-        )
+        u_prev = exact_truncated_gradient(mdp, factory(theta_prev), horizon) + b0
         rng = substream(11, "trajectory")
         q_rng = substream(11, "q")
         n = 10_000
@@ -314,10 +287,11 @@ class TestMomentum:
             theta_hat = q * theta_t + (1 - q) * theta_prev
             traj_hat = sample_trajectory(mdp, factory(theta_hat), horizon, rng)
             upd = momentum_update_hessian(
-                base_state, theta_t, traj_t, traj_hat, theta_hat, beta, factory, mdp.gamma
+                u_prev, truncated_grad(traj_t, factory(theta_t), mdp.gamma), beta,
+                traj_hat, factory(theta_hat), theta_t - theta_prev, mdp.gamma,
             )
-            total += upd.u
-            sq += upd.u * upd.u
+            total += upd
+            sq += upd * upd
         mean = total / n
         se = np.sqrt(np.maximum(sq / n - mean**2, 1e-30) / n)
         expected = exact_truncated_gradient(mdp, factory(theta_t), horizon) + (1 - beta) * b0

@@ -31,6 +31,13 @@ CASES = {
         "env": "chain3", "run.big_t": "12", "run.alpha0": "1.7e308",
         "subproblem.kind": "identity",
     },
+    # beta_t = 1: every momentum estimate collapses to the fresh gradient
+    "chain5-beta1": {"env": "chain5", "run.big_t": "12", "run.force_beta": "1"},
+    # a constant beta_t < 1 with the warm-started sampled sub-solver
+    "random4x3-beta03-warm": {
+        "env": "random4x3@1", "run.big_t": "12", "run.force_beta": "0.3",
+        "subproblem.kind": "sgd_average", "subproblem.warm_start": "true",
+    },
 }
 
 DIGESTS = {
@@ -52,6 +59,25 @@ DIGESTS = {
         'pg_seed1.csv': 'd2aa7bd355909a3839703d293da805cf70398bd7a54838540aab8cd5f8249507',
         'pg_seed1_diagnostic.json': 'dcd21505730d38068ceee361a4bfa71348a674954a48301168668eb0eda35a73',
         'summary.json': '6ab57e2a234e70a4256de06aff933eaf7de1508e0456a081c61ea3f61abd8af9',
+    },
+    'chain5-beta1': {
+        'harpg_seed0.csv': '74c07bccdb47f360c78476ff74437f70252caa119c849b1288ca5b104849b176',
+        'harpg_seed0.policy': '59f092f5eea2a906a68a774c07e3a891a7cffdd2ec7a2e94d4700c21b78af038',
+        'harpg_seed1.csv': '994fd986ce521c951a9e113121af109d26156b7ea9f1a51bb43dde7333c311d8',
+        'harpg_seed1.policy': 'cfba1f7a06bf1015809edbdc19e9ed4142bbdd0d29d517be7e15e8e43774e5dd',
+        'mnpg_seed0.csv': 'ee8bdb37d2bb57e013031a5e233155eec07c00e86f42320a07eb77cd9428619d',
+        'mnpg_seed0.policy': 'f1ed7795cd793453da14625b7a6a97af4598ad9b6a09a11051a7aec34d4a8374',
+        'mnpg_seed1.csv': 'b94021fbc06e916a0a1b8d00b09611482760f345ee8febb065054c0131124423',
+        'mnpg_seed1.policy': '9ac0008c788f820b825c48c3bbf4d83175a9940ca815110d3a791b8fddfb720e',
+        'npg-hm_seed0.csv': 'ff0d800c61db08cb6291d50d3e305f0e611e5ad9ebc3a7cb5e8f2b5924c5804f',
+        'npg-hm_seed0.policy': '62dac04a9a0f0340aaac8eedffe937bb9ac29357e9985f4f2d6431cd9f2f858a',
+        'npg-hm_seed1.csv': '1aadfb79f584f254a99097a57f4eb007e18cedbe5eae45b338c06a5bb5d3e9c4',
+        'npg-hm_seed1.policy': '0e56bc03646ca1abf19b2d0c1d21c3df6ce12de9136df5037911754e070c076d',
+        'pg_seed0.csv': '2837b26e3348a6fc9c2a21444de4992092f07fd9fa3b989e8bc3f43829fe9478',
+        'pg_seed0.policy': '29bf54401bf535a23427fab582875abeb86d528f48b1f3bf050ea0ffb52442e3',
+        'pg_seed1.csv': 'ee0e27312fe07d55e6465dbac597c839769cbd77d29cb64ed092535592ffa64e',
+        'pg_seed1.policy': 'ce47dc03aaa3917bbe93eacf3ce51c1a4e6d7d63874a90bd4d6011bff104e26b',
+        'summary.json': 'ef655a70f64d92d4587b539200f190f70e0bc307505443ee2d029a3a72078c3f',
     },
     'chain5-exact': {
         'harpg_seed0.csv': 'f017460012728a02d384fcff987861bba01d9eb4ec82f8b303b4ebea24c94b6f',
@@ -109,6 +135,25 @@ DIGESTS = {
         'pg_seed1.csv': 'ead88a3879f9bb6fa7a7839bf7ef6acf5f027fc0b03ed2c69bb11d9aff7b399e',
         'pg_seed1.policy': '7f7f32cd6280c51668da7b599dc8455ec231857ec0031f03ad31c8c5418bac5b',
         'summary.json': 'f496d2af8f6fdd665743ccb2f0f9fca291e76aed6a44283d4a4a5c774e14697f',
+    },
+    'random4x3-beta03-warm': {
+        'harpg_seed0.csv': '9885fce9dd1717e0132d8641b94946029872cef1de8052146ff3aaf705d6d042',
+        'harpg_seed0.policy': '20e178e25d05681016d9677f2c6d3417c8397c4c4fd543ae382e55caab4e9a47',
+        'harpg_seed1.csv': '880f1e7a2dd7760f45133465ee7fc2303433fc6eebfa512dc25bd20c8f71013a',
+        'harpg_seed1.policy': 'e0ea7ee154c4629ebe22dc906bceb93a88dd2c3e41d2c23c7642b4bac9932a34',
+        'mnpg_seed0.csv': 'b9157f5387efc0193b6284bf4e04d8dda31d56c057d853bb07b567b174b9056a',
+        'mnpg_seed0.policy': '8e57dd20016d9aaeefff183bab5ac79cefc05fe0705343222af621f33faa86b5',
+        'mnpg_seed1.csv': 'c2deac88272269f81ced117dce47f30031342ee54af1cdfdba64ce5617a25276',
+        'mnpg_seed1.policy': 'b369b4ca3fee895534c7bcf624698616fd53bb96b2e58da0362b206f3222566c',
+        'npg-hm_seed0.csv': '7c5be6cb3c471ee0c42a9a2b5c1f49f7086a71314f623863525f33bff879bca3',
+        'npg-hm_seed0.policy': '944508419a99d3a1a5ac41c44a172c9e8eb069b589c796c795630aed51f15c46',
+        'npg-hm_seed1.csv': 'ee1dfcb4eae90182b71bdb212db82c211d90868214672d135eb46995359bad1d',
+        'npg-hm_seed1.policy': 'cb76ba8c22c09b86ebd4e646631afbdf3ef5c703af91aeb8867682a2cac44ed6',
+        'pg_seed0.csv': '9321bedf1894fa5210d6419a4427303def738391f979f8958038ea6b364949f4',
+        'pg_seed0.policy': '73199431c213082c693a8293310a320efb2877023d59d2f9b141ef1089b686d3',
+        'pg_seed1.csv': '09c01df9b6ef91e5dfe2afdcfe4b49a2a293e9e53a13eb2c6408d67c24f39316',
+        'pg_seed1.policy': '1f46058bc9f4d1a8f261d761255ea6d32803c7bc35c03815bc31c02a06baa05f',
+        'summary.json': 'd63cc685bae30c23490cdee1a1c63aba52e84bab9cdb4453a78db36db6a3d4f8',
     },
     'random4x3-exact': {
         'harpg_seed0.csv': 'a4c737fbeff452b67b1e7b23e2cbab52d5bd8922aa02541743afb95ae8682e72',

@@ -333,6 +333,9 @@ class TestCli:
             ["--set", "subproblem.damping=nan"],
             ["--set", "sweep.alpha0=abc"],
             ["--env", "random1x1", "--alg", "pg", "--alpha0", "theory", "--subsolver", "identity"],
+            ["--env", "pointmass", "--alg", "pg", "--set", "policy.sigma=nan"],
+            ["--env", "pointmass", "--alg", "pg", "--set", "policy.sigma=inf"],
+            ["--env", "pointmass", "--alg", "pg", "--set", "policy.trunc_c=nan"],
         ],
     )
     def test_bad_config_exits_two_before_training(self, tmp_path, capsys, extra):
@@ -395,10 +398,15 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "extra",
-        [["--only", "nope"], ["--only", "oracles,nope"], ["--only", ","], ["--seed", "-1"]],
+        [
+            ["--only", "nope"], ["--only", "oracles,nope"], ["--only", ","], ["--seed", "-1"],
+            ["--only", "harness", "--report", "{tmp}/missing/r.json"],
+            ["--only", "harness", "--report", "{tmp}"],
+        ],
     )
     def test_bad_verify_input_exits_two_before_any_check(self, tmp_path, capsys, extra):
         report = tmp_path / "checks.json"
+        extra = [arg.format(tmp=tmp_path) for arg in extra]
         code = cli.main(["verify", "--report", str(report)] + extra)
         captured = capsys.readouterr()
         assert code == 2
