@@ -14,27 +14,29 @@ from . import harness, verify
 from .harness import ConfigError
 
 
+# Each train/sweep flag sets one config key (see harness.KEYS), value as written.
+FLAGS = {
+    "--env": ("env", "chainN | randomSxA[@seed] | pointmass | file:PATH"),
+    "--alg": ("algorithms", "comma list of algorithms or 'all'"),
+    "--seeds": ("seeds", "comma list of integer seeds"),
+    "--out": ("out", "output directory root"),
+    "--T": ("run.big_t", "number of policy iterates"),
+    "--alpha0": ("run.alpha0", "base step size, or 'theory'"),
+    "--tau0": ("run.tau0", "momentum schedule offset"),
+    "--horizon": ("run.horizon", "truncation horizon, or 'auto'"),
+    "--budget": ("run.budget", "shared trajectory budget (overrides --T)"),
+    "--subsolver": ("subproblem.kind", "exact | sgd_average | adam | identity"),
+    "--K": ("subproblem.n_iters", "sub-problem iteration count"),
+    "--workers": ("workers", "parallel worker processes"),
+}
+
+
 def _collect_mapping(args) -> dict:
-    mapping = {}
-    if args.config:
-        mapping.update(harness.parse_config_file(args.config))
-    direct = {
-        "env": args.env,
-        "algorithms": args.alg,
-        "seeds": args.seeds,
-        "out": args.out,
-        "run.big_t": args.T,
-        "run.alpha0": args.alpha0,
-        "run.tau0": args.tau0,
-        "run.horizon": args.horizon,
-        "run.budget": args.budget,
-        "subproblem.kind": args.subsolver,
-        "subproblem.n_iters": args.K,
-        "workers": args.workers,
-    }
-    for key, val in direct.items():
+    mapping = harness.parse_config_file(args.config) if args.config else {}
+    for flag, (key, _) in FLAGS.items():
+        val = getattr(args, flag[2:])
         if val is not None:
-            mapping[key] = str(val)
+            mapping[key] = val
     if args.timing:
         mapping["timing"] = "true"
     for pair in args.set or []:
@@ -46,19 +48,9 @@ def _collect_mapping(args) -> dict:
 
 
 def _add_train_flags(sub):
-    sub.add_argument("--env", help="chainN | randomSxA[@seed] | pointmass | file:PATH")
-    sub.add_argument("--alg", help="comma list of algorithms or 'all'")
-    sub.add_argument("--seeds", help="comma list of integer seeds")
+    for flag, (_, text) in FLAGS.items():
+        sub.add_argument(flag, help=text)
     sub.add_argument("--config", help="flat `key = value` config file")
-    sub.add_argument("--out", help="output directory root")
-    sub.add_argument("--T", help="number of policy iterates")
-    sub.add_argument("--alpha0", help="base step size, or 'theory'")
-    sub.add_argument("--tau0", help="momentum schedule offset")
-    sub.add_argument("--horizon", help="truncation horizon, or 'auto'")
-    sub.add_argument("--budget", help="shared trajectory budget (overrides --T)")
-    sub.add_argument("--subsolver", help="exact | sgd_average | adam | identity")
-    sub.add_argument("--K", help="sub-problem iteration count")
-    sub.add_argument("--workers", help="parallel worker processes")
     sub.add_argument("--timing", action="store_true", help="record real wall_ms (breaks byte-identical reruns)")
     sub.add_argument("--set", action="append", metavar="KEY=VALUE", help="set any config key directly")
 
@@ -142,13 +134,8 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_report(args) -> int:
-    path = Path(args.dir) / "summary.json"
-    if not path.exists():
-        print(f"no summary.json under {args.dir}", file=sys.stderr)
-        return 2
-    summary = json.loads(path.read_text(encoding="utf-8"))
-    print(f"env: {summary['env']}  seeds: {summary['seeds']}")
+def _report_lines(summary: dict) -> list[str]:
+    lines = [f"env: {summary['env']}  seeds: {summary['seeds']}"]
     for alg, stats in summary["algorithms"].items():
         gap = stats["final_gap"]["median"]
         iqr = stats["final_gap"]["iqr"]
@@ -158,9 +145,22 @@ def _cmd_report(args) -> int:
             parts.append(f"median J={j:.6g}")
         if gap is not None:
             parts.append(f"median gap={gap:.6g} (IQR {iqr:.3g})")
-        print(" ".join(parts))
+        lines.append(" ".join(parts))
     if summary.get("aborted"):
-        print(f"aborted runs: {summary['aborted']}")
+        lines.append(f"aborted runs: {summary['aborted']}")
+    return lines
+
+
+def _cmd_report(args) -> int:
+    path = Path(args.dir) / "summary.json"
+    try:
+        lines = _report_lines(json.loads(path.read_text(encoding="utf-8")))
+    except FileNotFoundError:
+        raise ConfigError(f"no summary.json under {args.dir}") from None
+    # unreadable, not JSON, or not the layout train writes
+    except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"{path} is not a run summary: {type(exc).__name__}: {exc}") from exc
+    print("\n".join(lines))
     return 0
 
 

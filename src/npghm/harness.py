@@ -79,61 +79,83 @@ def make_policy(env, sigma: float = 0.5, trunc_c: float = 3.0):
 
 def parse_config_file(path) -> dict[str, str]:
     """Read flat `key = value` lines; '#' comments; later keys win."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8
+        raise ConfigError(f"config file {str(path)!r}: {exc}") from exc
     mapping: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            if "=" not in body:
-                raise ConfigError(f"{path}:{lineno}: expected `key = value`, got {body!r}")
-            key, value = body.split("=", 1)
-            mapping[key.strip()] = value.strip()
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        if "=" not in body:
+            raise ConfigError(f"{path}:{lineno}: expected `key = value`, got {body!r}")
+        key, value = body.split("=", 1)
+        mapping[key.strip()] = value.strip()
     return mapping
 
 
-def _as_int(mapping, key, default):
-    if key not in mapping or mapping[key] == "":
-        return default
-    try:
-        return int(mapping[key])
-    except ValueError as exc:
-        raise ConfigError(f"{key} must be an integer, got {mapping[key]!r}") from exc
+def _parser(cast, noun, word=None):
+    """Config value parser: `word` passes through as is, anything else goes
+    through `cast`; a value `cast` rejects raises ValueError(noun)."""
+    def parse(raw: str):
+        if raw == word:
+            return raw
+        try:
+            return cast(raw)
+        except (ValueError, KeyError):
+            raise ValueError(noun) from None
+    return parse
 
 
-def _as_float(mapping, key, default):
-    if key not in mapping or mapping[key] == "":
-        return default
-    try:
-        return float(mapping[key])
-    except ValueError as exc:
-        raise ConfigError(f"{key} must be a number, got {mapping[key]!r}") from exc
+_TRUTH = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+          **dict.fromkeys(("0", "false", "no", "off"), False)}
+_INT, _FLOAT = _parser(int, "an integer"), _parser(float, "a number")
+_BOOL = _parser(lambda raw: _TRUTH[raw.lower()], "a boolean")
 
-
-def _as_bool(mapping, key, default):
-    if key not in mapping or mapping[key] == "":
-        return default
-    val = mapping[key].lower()
-    if val in ("1", "true", "yes", "on"):
-        return True
-    if val in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"{key} must be a boolean, got {mapping[key]!r}")
-
-
-def _as_str(mapping, key, default):
-    return mapping.get(key, default) or default
-
-
-KNOWN_KEYS = {
-    "env", "algorithms", "seeds", "out", "timing", "workers",
-    "policy.sigma", "policy.trunc_c",
-    "run.big_t", "run.alpha0", "run.tau0", "run.horizon", "run.eval_interval",
-    "run.eval_trajectories", "run.force_beta", "run.beta_fixed",
-    "run.harpg_tau0", "run.pg_step", "run.budget",
-    "subproblem.kind", "subproblem.n_iters", "subproblem.eta",
-    "subproblem.damping", "subproblem.warm_start",
+# Every config key: its parser and its CLI default. A key left out or set to
+# "" takes the default, and an empty default reads as None. The run.* and
+# subproblem.* keys are RunConfig and SubproblemConfig fields by name,
+# except run.budget; policy.* are make_policy's keyword arguments.
+KEYS = {
+    "env": (str, ""),  # required
+    "algorithms": (str, "npg-hm"),
+    "seeds": (_parser(lambda raw: [int(s) for s in raw.split(",") if s.strip() != ""],
+                      "a comma list of integers"), "0"),
+    "out": (str, ""),  # None: $NPGHM_OUTPUT_ROOT, else runs
+    "timing": (_BOOL, "false"),
+    "workers": (_INT, "1"),
+    "policy.sigma": (_FLOAT, "0.5"),
+    "policy.trunc_c": (_FLOAT, "3.0"),
+    "run.big_t": (_INT, "2000"),
+    "run.alpha0": (_parser(float, "a number", "theory"), "0.05"),
+    "run.tau0": (_FLOAT, "20.0"),
+    "run.horizon": (_parser(int, "an integer", "auto"), "auto"),
+    "run.eval_interval": (_INT, "10"),
+    "run.eval_trajectories": (_INT, "50"),
+    "run.force_beta": (_FLOAT, ""),
+    "run.beta_fixed": (_FLOAT, "0.5"),
+    "run.harpg_tau0": (_FLOAT, "2.0"),
+    "run.pg_step": (str, "scheduled"),
+    "run.budget": (_INT, "0"),  # 0: no budget
+    "subproblem.kind": (str, ""),  # None: exact, or sgd_average on pointmass
+    "subproblem.n_iters": (_INT, "100"),
+    "subproblem.eta": (_parser(float, "a number", "auto"), "auto"),
+    "subproblem.damping": (_FLOAT, "0.3"),
+    "subproblem.warm_start": (_BOOL, "false"),
 }
+
+
+def _read(mapping: dict[str, str], key: str):
+    """One key's value through its parser, its default if unset."""
+    parse, default = KEYS[key]
+    raw = mapping.get(key) or default
+    if raw == "":
+        return None
+    try:
+        return parse(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{key} must be {exc}, got {raw!r}") from None
 
 
 @dataclass(frozen=True)
@@ -143,11 +165,11 @@ class TrainSpec:
     seeds: list
     run: RunConfig
     out_dir: Path
-    timing: bool = False
-    workers: int = 1
-    policy_sigma: float = 0.5
-    policy_trunc_c: float = 3.0
-    budget: int | None = None  # shared trajectory budget; overrides big_t per algorithm
+    timing: bool
+    workers: int
+    policy_sigma: float
+    policy_trunc_c: float
+    budget: int | None  # shared trajectory budget; overrides big_t per algorithm
 
 
 def budget_to_big_t(algorithm: str, budget: int) -> int:
@@ -160,89 +182,56 @@ def budget_to_big_t(algorithm: str, budget: int) -> int:
 
 def build_train_spec(mapping: dict[str, str], out_dir=None) -> TrainSpec:
     """Validate a flat mapping (config file + CLI overrides) into a spec."""
-    unknown = set(mapping) - KNOWN_KEYS
+    unknown = set(mapping) - set(KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    env_spec = _as_str(mapping, "env", None)
+    values = {key: _read(mapping, key) for key in KEYS}
+    env_spec = values["env"]
     if env_spec is None:
         raise ConfigError("missing required key `env`")
     env = make_env(env_spec)  # fail fast on bad specs
+    if values["subproblem.kind"] is None:
+        values["subproblem.kind"] = "exact" if env_spec != "pointmass" else "sgd_average"
 
-    algs_raw = _as_str(mapping, "algorithms", "npg-hm")
-    if algs_raw == "all":
+    if values["algorithms"] == "all":
         algs = list(ALGORITHMS)
     else:
-        algs = [a.strip() for a in algs_raw.split(",") if a.strip()]
+        algs = [a.strip() for a in values["algorithms"].split(",") if a.strip()]
     for alg in algs:
         if alg not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {alg!r}; known: {sorted(ALGORITHMS)}")
     if not algs:
         raise ConfigError("no algorithms selected")
 
-    seeds_raw = _as_str(mapping, "seeds", "0")
-    try:
-        seeds = [int(s) for s in seeds_raw.split(",") if s.strip() != ""]
-    except ValueError as exc:
-        raise ConfigError(f"seeds must be a comma list of integers, got {seeds_raw!r}") from exc
+    seeds = values["seeds"]
     if not seeds:
         raise ConfigError("no seeds given")
     if len(set(seeds)) != len(seeds):
         raise ConfigError(f"seeds must be distinct, got {seeds}")
     if min(seeds) < 0:
         raise ConfigError(f"seeds must be >= 0, got {seeds}")
-    workers = _as_int(mapping, "workers", 1)
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
-
-    horizon_raw = _as_str(mapping, "run.horizon", "auto")
-    horizon = "auto" if horizon_raw == "auto" else _as_int(mapping, "run.horizon", 0)
-    alpha0_raw = _as_str(mapping, "run.alpha0", "0.05")
-    alpha0 = "theory" if alpha0_raw == "theory" else _as_float(mapping, "run.alpha0", 0.05)
-    big_t = _as_int(mapping, "run.big_t", 2000)
-    budget = _as_int(mapping, "run.budget", 0)
+    if values["workers"] < 1:
+        raise ConfigError(f"workers must be >= 1, got {values['workers']}")
+    budget = values.pop("run.budget")
     if budget < 0:
         raise ConfigError(f"run.budget must be >= 0 (0 means no budget), got {budget}")
-    force_beta_raw = _as_str(mapping, "run.force_beta", "")
 
-    sigma = _as_float(mapping, "policy.sigma", 0.5)
-    trunc_c = _as_float(mapping, "policy.trunc_c", 3.0)
+    def fields(prefix):
+        return {key[len(prefix):]: val for key, val in values.items() if key.startswith(prefix)}
 
     try:
-        sub = SubproblemConfig(
-            kind=_as_str(mapping, "subproblem.kind", "exact" if env_spec != "pointmass" else "sgd_average"),
-            n_iters=_as_int(mapping, "subproblem.n_iters", 100),
-            eta=(
-                "auto"
-                if _as_str(mapping, "subproblem.eta", "auto") == "auto"
-                else _as_float(mapping, "subproblem.eta", 0.0)
-            ),
-            damping=_as_float(mapping, "subproblem.damping", 0.3),
-            warm_start=_as_bool(mapping, "subproblem.warm_start", False),
-        )
-        run = RunConfig(
-            big_t=big_t,
-            alpha0=alpha0,
-            tau0=_as_float(mapping, "run.tau0", 20.0),
-            horizon=horizon,
-            subproblem=sub,
-            eval_interval=_as_int(mapping, "run.eval_interval", 10),
-            eval_trajectories=_as_int(mapping, "run.eval_trajectories", 50),
-            force_beta=float(force_beta_raw) if force_beta_raw else None,
-            beta_fixed=_as_float(mapping, "run.beta_fixed", 0.5),
-            harpg_tau0=_as_float(mapping, "run.harpg_tau0", 2.0),
-            pg_step=_as_str(mapping, "run.pg_step", "scheduled"),
-        )
-        policy = make_policy(env, sigma=sigma, trunc_c=trunc_c)
+        run = RunConfig(subproblem=SubproblemConfig(**fields("subproblem.")), **fields("run."))
+        policy = make_policy(env, **fields("policy."))
         for alg in algs:
             check_solver(env, policy, run, alg)
-        if alpha0 == "theory":  # each cell redraws the same bounds stream
+        if run.alpha0 == "theory":  # each cell redraws the same bounds stream
             for seed in seeds:
                 theory_fisher_floor(env, policy, substream(seed, "bounds"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
     if out_dir is None:
-        root = Path(_as_str(mapping, "out", "") or os.environ.get(OUTPUT_ROOT_ENV, "runs"))
+        root = Path(values["out"] or os.environ.get(OUTPUT_ROOT_ENV, "runs"))
         out_dir = root / re.sub(r"[^A-Za-z0-9_.-]", "_", env_spec)
     return TrainSpec(
         env_spec=env_spec,
@@ -250,10 +239,10 @@ def build_train_spec(mapping: dict[str, str], out_dir=None) -> TrainSpec:
         seeds=seeds,
         run=run,
         out_dir=Path(out_dir),
-        timing=_as_bool(mapping, "timing", False),
-        workers=workers,
-        policy_sigma=sigma,
-        policy_trunc_c=trunc_c,
+        timing=values["timing"],
+        workers=values["workers"],
+        policy_sigma=values["policy.sigma"],
+        policy_trunc_c=values["policy.trunc_c"],
         budget=budget or None,
     )
 
@@ -279,11 +268,26 @@ def _write_csv(path: Path, algorithm: str, seed: int, records, timing: bool) -> 
     lines = [",".join(CSV_COLUMNS)]
     for r in records:
         lines.append(",".join(_cell(fixed[c] if c in fixed else getattr(r, c)) for c in CSV_COLUMNS))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _write_text(path: Path, text: str) -> None:
+    _write_atomic(path, lambda tmp: tmp.write_text(text, encoding="utf-8"))
+
+
+def _write_atomic(path: Path, write) -> None:
+    """Call write(tmp) on a temporary name beside `path`, then rename tmp
+    onto `path`: a write that fails or is interrupted leaves no partial file."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _run_cell(spec: TrainSpec, algorithm: str, seed: int) -> dict | Path:
@@ -317,7 +321,7 @@ def _run_cell(spec: TrainSpec, algorithm: str, seed: int) -> dict | Path:
         return diag_path
     _write_csv(csv_path, algorithm, seed, result.records, spec.timing)
     policy_path = spec.out_dir / f"{stem}.policy"
-    save_policy(policy.with_params(result.theta), policy_path)
+    _write_atomic(policy_path, functools.partial(save_policy, policy.with_params(result.theta)))
     meta = result.meta
     last = result.records[-1] if result.records else None
     return {
@@ -450,5 +454,5 @@ def sweep_experiment(
     for row in rows:
         lines.append(",".join(_cell(row[k]) for k in header))
     sweep_path = spec.out_dir / "sweep.csv"
-    sweep_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(sweep_path, "\n".join(lines) + "\n")
     return {"rows": rows, "best": best[1] if best else None, "path": sweep_path}

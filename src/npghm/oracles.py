@@ -9,7 +9,6 @@ state-action visitation is d(s) pi(a|s).
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -257,7 +256,7 @@ def performance_difference(mdp: TabularMdp, pi_new, pi_old) -> float:
 
 @dataclass(frozen=True)
 class ExactMdpQuantities:
-    """Everything exact for one (MDP, policy) pair, JSON-exportable."""
+    """Everything exact for one (MDP, policy) pair."""
 
     v: np.ndarray
     q: np.ndarray
@@ -267,19 +266,6 @@ class ExactMdpQuantities:
     fim: np.ndarray
     j: float
     j_star: float
-
-    def to_json(self) -> str:
-        payload = {
-            "v": self.v.tolist(),
-            "q": self.q.tolist(),
-            "advantage": self.advantage.tolist(),
-            "visitation": self.visitation.tolist(),
-            "grad": self.grad.tolist(),
-            "fim": self.fim.tolist(),
-            "j": self.j,
-            "j_star": self.j_star,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def exact_quantities(mdp: TabularMdp, policy) -> ExactMdpQuantities:
@@ -317,9 +303,6 @@ class ConstantsBundle:
     nu_h_sq: float             # second moment bound of the trajectory Hessian
     g_g: float                 # truncation coefficient: ||grad J^H - grad J|| <= g_g gamma^H
     g_h: float                 # truncation coefficient for the Hessian
-
-    def as_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
 def compute_constants(

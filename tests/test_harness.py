@@ -1,10 +1,12 @@
 """Experiment harness and CLI: config parsing, CSV output, reruns, exit codes."""
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from npghm import cli
+from npghm import cli, harness
 from npghm.algorithms import IterateRecord
 from npghm.envs import PointMassEnv, TabularMdp, chain, dump_mdp_text, random_mdp
 from npghm.harness import (
@@ -21,7 +23,7 @@ from npghm.harness import (
     train_experiment,
 )
 from npghm.policies import TabularSoftmaxPolicy, TruncatedLinearGaussianPolicy, load_policy
-from npghm.verify import run_checks
+from npghm.verify import CHECKS, run_checks
 
 
 def small_mapping(**extra):
@@ -62,6 +64,12 @@ class TestConfigFile:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("env chain5\n", encoding="utf-8")
         with pytest.raises(ConfigError, match="key = value"):
+            parse_config_file(cfg)
+
+    def test_non_utf8_file_rejected(self, tmp_path):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes("env = chain5 # caf\u00e9\n".encode("latin-1"))
+        with pytest.raises(ConfigError, match="utf-8"):
             parse_config_file(cfg)
 
 
@@ -267,6 +275,26 @@ class TestTrainExperiment:
         assert (tmp_path / "npg-hm_seed0.csv").exists()  # partial rows still land
         assert out.summary["aborted"] == [out.diagnostic_paths[0].name]
 
+    @pytest.mark.parametrize("torn", ["pg_seed0.policy", "summary.json"])
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch, torn):
+        write_bytes, write_text = Path.write_bytes, Path.write_text
+
+        def tear(write):  # write half of the data to the torn file's temporary name, then fail
+            def torn_write(path, data, *args, **kwargs):
+                if torn in path.name:
+                    write(path, data[: len(data) // 2], *args, **kwargs)
+                    raise OSError("disk full")
+                return write(path, data, *args, **kwargs)
+            return torn_write
+
+        monkeypatch.setattr(harness, "save_policy", lambda policy, path: path.write_bytes(b"x" * 64))
+        monkeypatch.setattr(Path, "write_bytes", tear(write_bytes))
+        monkeypatch.setattr(Path, "write_text", tear(write_text))
+        with pytest.raises(OSError, match="disk full"):
+            train_experiment(build_train_spec(small_mapping(), out_dir=tmp_path))
+        kept = {"pg_seed0.csv", "pg_seed0.policy", "summary.json"} - {torn, "summary.json"}
+        assert {p.name for p in tmp_path.iterdir()} == kept
+
 
 class TestSweep:
     def test_grid_rows_and_best(self, tmp_path):
@@ -336,10 +364,14 @@ class TestCli:
             ["--env", "pointmass", "--alg", "pg", "--set", "policy.sigma=nan"],
             ["--env", "pointmass", "--alg", "pg", "--set", "policy.sigma=inf"],
             ["--env", "pointmass", "--alg", "pg", "--set", "policy.trunc_c=nan"],
+            ["--config", "{tmp}/missing.cfg"],
+            ["--config", "{tmp}"],
+            ["--set", "run.force_beta=abc"],
         ],
     )
     def test_bad_config_exits_two_before_training(self, tmp_path, capsys, extra):
         out = tmp_path / "out"
+        extra = [arg.format(tmp=tmp_path) for arg in extra]
         command, extra = (extra[0], extra[1:]) if extra[0] == "sweep" else ("train", extra)
         argv = [command, "--env", "chain3", "--alg", "npg-hm", "--T", "3", "--out", str(out)]
         code = cli.main(argv + extra)
@@ -348,6 +380,9 @@ class TestCli:
         assert len(err.splitlines()) == 1
         assert err.startswith("configuration error")
         assert not out.exists()
+        for flag, pair in zip(extra, extra[1:]):
+            if flag == "--set" and pair.endswith("=abc"):  # a value no parser takes names its key
+                assert pair.split("=")[0] in err
 
     def test_abort_exits_three_with_pointer(self, tmp_path, capsys):
         argv = wrap_train_args(tmp_path) + [
@@ -386,6 +421,18 @@ class TestCli:
         code = cli.main(["report", str(tmp_path / "nothing")])
         assert code == 2
         assert "summary.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text", ["{not json", '{"seeds": [0], "algorithms": {}}', "[]"], ids=["not-json", "no-env", "list"]
+    )
+    def test_report_malformed_summary_exits_two(self, tmp_path, capsys, text):
+        (tmp_path / "summary.json").write_text(text, encoding="utf-8")
+        code = cli.main(["report", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("configuration error")
 
     def test_verify_subcommand_writes_report(self, tmp_path, capsys):
         report = tmp_path / "checks.json"
@@ -428,6 +475,18 @@ class TestCli:
         assert "best:" in captured.out
         assert (tmp_path / "chain3" / "sweep.csv").exists()
 
+    def test_readme_lists_every_key_with_its_default_and_flag(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        row = re.compile(r"^\| `([\w.]+)` \| (.*) \| (.*?) ?\|$", re.M)
+        rows = {m.group(1): m.group(2, 3) for m in row.finditer(readme)}
+        flags = {key: flag for flag, (key, _) in cli.FLAGS.items()}
+        flags["timing"] = "--timing"  # the one switch outside the flag table
+        assert set(rows) == set(harness.KEYS)
+        for key, (_, default) in harness.KEYS.items():
+            if default:
+                assert rows[key][0] == f"`{default}`", key
+            assert rows[key][1] == (f"`{flags[key]}`" if key in flags else ""), key
+
 
 def wrap_train_args(tmp_path):
     return [
@@ -441,8 +500,9 @@ def wrap_train_args(tmp_path):
 
 
 class TestVerifyApi:
-    def test_single_group_all_pass(self):
-        results = run_checks(only="oracles")
+    @pytest.mark.parametrize("group", list(CHECKS))
+    def test_single_group_all_pass(self, group):
+        results = run_checks(only=group)
         assert results and all(r.passed for r in results)
 
     def test_unknown_group_rejected(self):

@@ -1,6 +1,5 @@
 """Exact MDP oracles, constants, and the LQR reference solution."""
 import itertools
-import json
 import math
 
 import numpy as np
@@ -276,11 +275,6 @@ class TestConstants:
         with pytest.raises(ValueError):
             compute_constants(m_g=1.0, m_h=0.0, mu_f=1.0, gamma=1.0, horizon=1)
 
-    def test_as_dict_round_trips_json(self):
-        c = compute_constants(m_g=2.0, m_h=0.5, mu_f=0.3, gamma=0.9, horizon=10)
-        blob = json.dumps(c.as_dict())
-        assert json.loads(blob)["kappa"] == pytest.approx(2.0 / 0.3)
-
 
 class TestLqr:
     def test_riccati_residual_is_zero(self):
@@ -312,6 +306,3 @@ class TestExactQuantities:
         q = exact_quantities(mdp, pol)
         assert q.j == pytest.approx(exact_return(mdp, pol.probs_matrix()))
         assert np.allclose(q.grad, exact_policy_gradient(mdp, pol))
-        blob = q.to_json()
-        parsed = json.loads(blob)
-        assert parsed["j"] == pytest.approx(q.j)
