@@ -35,14 +35,11 @@ def main() -> None:
     npg_gaps, pg_gaps = [], []
     for seed in seeds:
         cfg = RunConfig(
-            big_t=big_t, alpha0=0.05, tau0=500.0, seed=seed, eval_interval=big_t,
-            subproblem=SubproblemConfig(kind="exact", damping=0.3),
+            big_t=big_t, tau0=500.0, seed=seed, eval_interval=big_t,
+            subproblem=SubproblemConfig(kind="exact"),
         )
         res = run_npg_hm(mdp, TabularSoftmaxPolicy.zeros(5, 2), cfg)
-        cfg_pg = RunConfig(
-            big_t=budget + 1, alpha0=0.05, tau0=500.0, seed=seed,
-            eval_interval=budget + 1,
-        )
+        cfg_pg = RunConfig(big_t=budget + 1, tau0=500.0, seed=seed, eval_interval=budget + 1)
         res_pg = run_vanilla_pg(mdp, TabularSoftmaxPolicy.zeros(5, 2), cfg_pg)
         npg_gaps.append(res.records[-1].gap)
         pg_gaps.append(res_pg.records[-1].gap)

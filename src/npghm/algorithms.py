@@ -53,12 +53,7 @@ from typing import Callable
 import numpy as np
 
 from .envs import TabularMdp, geometric_cap, sample_state_action, sample_trajectory, discounted_return
-from .estimators import (
-    MomentumState,
-    momentum_update_hessian,
-    momentum_update_is,
-    truncated_grad,
-)
+from .estimators import momentum_update_hessian, momentum_update_is, truncated_grad
 from .natural_gradient import SubproblemConfig, adam_subsolver, exact_npg_direction, npg_sgd, resolve_eta
 from .oracles import compute_constants, exact_fim, exact_return, optimal_return, theoretical_alpha0
 from .policies import empirical_fisher
@@ -68,20 +63,16 @@ TAU0_RECOMMENDED_MIN = 20.0
 
 
 class NanAbortError(RuntimeError):
-    """A non-finite value appeared; carries the state needed for post-mortem."""
+    """A non-finite value appeared at iteration t; carries theta, the
+    momentum u_t and the theta_t it was formed at (both None for pg) and the
+    records so far, for post-mortem."""
 
-    def __init__(
-        self,
-        t: int,
-        theta: np.ndarray,
-        state: MomentumState | None,
-        records: list,
-        what: str = "value",
-    ):
+    def __init__(self, t: int, theta: np.ndarray, u, theta_prev, records: list, what: str = "value"):
         super().__init__(f"non-finite {what} at iteration t={t}")
         self.t = t
         self.theta = theta
-        self.state = state
+        self.u = u
+        self.theta_prev = theta_prev
         self.records = records
         self.what = what
 
@@ -120,7 +111,7 @@ class RunConfig:
     """
 
     big_t: int
-    alpha0: float | str = 1.0
+    alpha0: float | str = 0.05
     tau0: float = 20.0
     horizon: int | str = "auto"
     subproblem: SubproblemConfig = field(default_factory=SubproblemConfig)
@@ -188,9 +179,17 @@ class IterateRecord:
 
 @dataclass(frozen=True)
 class RunResult:
+    """Final parameters, per-iteration records and what the run resolved:
+    the horizon, the step scale (alpha0_theory is set when it was derived),
+    the discounted-horizon redraw cap and the trajectories drawn."""
+
     theta: np.ndarray
     records: list
-    meta: dict
+    horizon: int
+    alpha0: float
+    alpha0_theory: float | None
+    geom_cap: int
+    trajectories: int
 
 
 def theory_fisher_floor(env, policy, rng) -> float:
@@ -241,11 +240,6 @@ def _evaluator(env, cfg: RunConfig, horizon: int, eval_rng):
             return total / cfg.eval_trajectories, None
 
     return evaluate
-
-
-def _check_finite(name: str, value: np.ndarray, t: int, theta, state, records):
-    if not np.all(np.isfinite(value)):
-        raise NanAbortError(t, np.asarray(theta, dtype=float), state, records, what=name)
 
 
 def _solve_direction(env, policy, u, cfg: RunConfig, sub_rng, w_prev):
@@ -308,10 +302,15 @@ def _train(env, policy, cfg: RunConfig, name: str) -> RunResult:
 
     theta = np.array(policy.theta, dtype=float)
     pol = pol_prev = policy
-    state: MomentumState | None = None  # stays None for pg, which carries no momentum
+    u_prev = theta_prev = None  # stay None for pg, which carries no momentum
     w_prev = np.zeros(policy.dim)
     records: list[IterateRecord] = []
     n_traj = 0
+
+    def check_finite(what, value):  # reads t, theta, u_prev, theta_prev as they are at the call
+        if not np.all(np.isfinite(value)):
+            raise NanAbortError(t, theta, u_prev, theta_prev, records, what)
+
     for t in range(1, cfg.big_t):
         tic = time.perf_counter()
         if cfg.force_beta is not None:
@@ -321,26 +320,26 @@ def _train(env, policy, cfg: RunConfig, name: str) -> RunResult:
         else:
             beta_t = beta_schedule(t, getattr(cfg, method.beta))
         alpha_t = alpha0 if constant_step else alpha0 * math.sqrt(beta_t)
-        hessian = state is not None and method.correction == "hessian"
+        hessian = u_prev is not None and method.correction == "hessian"
         if hessian:
             q = streams["q"].random()
-            pol_hat = pol.with_params(q * theta + (1.0 - q) * state.theta_prev)
+            pol_hat = pol.with_params(q * theta + (1.0 - q) * theta_prev)
         traj_t = sample_trajectory(env, pol, horizon, streams["trajectory"])
         u = fresh = truncated_grad(traj_t, pol, gamma)
         if hessian:
             traj_hat = sample_trajectory(env, pol_hat, horizon, streams["trajectory"])
-            delta = theta - state.theta_prev
-            u = momentum_update_hessian(state.u, fresh, beta_t, traj_hat, pol_hat, delta, gamma)
-        elif state is not None:  # the importance-sampling correction
-            u = momentum_update_is(state.u, fresh, beta_t, traj_t, pol_prev, pol, gamma)
+            delta = theta - theta_prev
+            u = momentum_update_hessian(u_prev, fresh, beta_t, traj_hat, pol_hat, delta, gamma)
+        elif u_prev is not None:  # the importance-sampling correction
+            u = momentum_update_is(u_prev, fresh, beta_t, traj_t, pol_prev, pol, gamma)
         n_traj += 2 if hessian else 1
         if method.correction is not None:
-            state = MomentumState(u=u, theta_prev=theta, t=t)
-        _check_finite("g" if state is None else "u", u, t, theta, state, records)
+            u_prev, theta_prev = u, theta
+        check_finite("g" if u_prev is None else "u", u)
         w = _solve_direction(env, pol, u, cfg, streams["subproblem"], w_prev) if method.solve else u
-        _check_finite("w", w, t, theta, state, records)
+        check_finite("w", w)
         theta = theta + alpha_t * w
-        _check_finite("theta", theta, t, theta, state, records)
+        check_finite("theta", theta)
         pol_prev, pol = pol, pol.with_params(theta)
         w_prev = w
         last = t == cfg.big_t - 1
@@ -361,20 +360,15 @@ def _train(env, policy, cfg: RunConfig, name: str) -> RunResult:
                 fresh=fresh if cfg.store_vectors else None,
             )
         )
-    meta = {
-        "algorithm": name,
-        "seed": cfg.seed,
-        "big_t": cfg.big_t,
-        "horizon": horizon,
-        "tau0": cfg.tau0,
-        "alpha0": alpha0,
-        "alpha0_theory": alpha0_theory,
-        "gamma": gamma,
-        "geom_cap": geometric_cap(gamma) if gamma > 0 else 0,
-        "subproblem_kind": cfg.subproblem.kind,
-        "trajectories": n_traj,
-    }
-    return RunResult(theta=theta, records=records, meta=meta)
+    return RunResult(
+        theta=theta,
+        records=records,
+        horizon=horizon,
+        alpha0=alpha0,
+        alpha0_theory=alpha0_theory,
+        geom_cap=geometric_cap(gamma) if gamma > 0 else 0,
+        trajectories=n_traj,
+    )
 
 
 def run_npg_hm(env, policy, cfg: RunConfig) -> RunResult:

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 verification failure, 2 bad configuration,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -93,36 +94,29 @@ def _cmd_verify(args) -> int:
         print(f"[{status}] {r.group:>16} {r.name:<{width}}  measured={r.measured:.3e} bound={r.bound:.3e}")
     print(f"{len(results) - n_fail}/{len(results)} checks passed")
     if report:
-        payload = [r.row() for r in results]
+        payload = [dataclasses.asdict(r) for r in results]
         report.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
         print(f"report: {args.report}")
     return 0 if n_fail == 0 else 1
 
 
-def _parse_grid(flag, raw, default, cast=float):
-    if raw is None:
-        return default
-    try:
-        return [cast(x) for x in raw.split(",") if x.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"{flag} must be a comma list of numbers, got {raw!r}") from exc
-
-
 def _cmd_sweep(args) -> int:
-    spec = harness.build_train_spec(_collect_mapping(args))
+    def grid(raw):  # None keeps the config's own value
+        return None if raw is None else [x.strip() for x in raw.split(",") if x.strip()]
+
     result = harness.sweep_experiment(
-        spec,
-        alpha0_grid=_parse_grid("--sweep-alpha0", args.sweep_alpha0, [0.5, 1.0, 2.0, 4.0]),
-        tau0_grid=_parse_grid("--sweep-tau0", args.sweep_tau0, [spec.run.tau0]),
-        n_iters_grid=_parse_grid(
-            "--sweep-K", args.sweep_K, [spec.run.subproblem.n_iters], cast=int
-        ),
+        _collect_mapping(args),
+        alpha0_grid=grid(args.sweep_alpha0),
+        tau0_grid=grid(args.sweep_tau0),
+        n_iters_grid=grid(args.sweep_K),
     )
     for row in result["rows"]:
         gap = row["final_gap_median"]
         gap_str = f"{gap:.6g}" if gap is not None else "n/a"
+        alpha0 = row["alpha0"]  # a number, or "theory"
+        alpha0_str = f"{alpha0:<6}" if isinstance(alpha0, str) else f"{alpha0:<6g}"
         print(
-            f"{row['algorithm']:>8} alpha0={row['alpha0']:<6g} tau0={row['tau0']:<6g}"
+            f"{row['algorithm']:>8} alpha0={alpha0_str} tau0={row['tau0']:<6g}"
             f" K={row['n_iters']:<6d} median final gap={gap_str}"
         )
     if result["best"] is not None:
@@ -183,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = subs.add_parser("sweep", help="grid over alpha0 / tau0 / K at a fixed budget")
     _add_train_flags(sweep)
-    sweep.add_argument("--sweep-alpha0", help="comma list for the alpha0 grid")
+    sweep.add_argument("--sweep-alpha0", default="0.5,1.0,2.0,4.0", help="comma list for the alpha0 grid")
     sweep.add_argument("--sweep-tau0", help="comma list for the tau0 grid")
     sweep.add_argument("--sweep-K", help="comma list for the sub-problem iteration grid")
     sweep.set_defaults(fn=_cmd_sweep)

@@ -266,6 +266,7 @@ def sample_state_action(env, policy, rng: np.random.Generator):
 # ---------------------------------------------------------------------------
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis; TabularSoftmaxPolicy.probs_matrix too."""
     z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)

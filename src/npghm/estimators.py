@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -107,16 +106,6 @@ def importance_weight(
             stacklevel=2,
         )
     return math.exp(lw) if not math.isinf(lw) else 0.0
-
-
-@dataclass(frozen=True)
-class MomentumState:
-    """Recursion state after iteration t: the direction estimate u, the
-    parameters it was formed at, and the iteration counter."""
-
-    u: np.ndarray
-    theta_prev: np.ndarray
-    t: int
 
 
 def storm_step(fresh: np.ndarray, beta_t: float, carried: Callable[[], np.ndarray]) -> np.ndarray:

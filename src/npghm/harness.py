@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import functools
+import itertools
 import json
 import math
 import os
@@ -43,7 +44,6 @@ class ConfigError(ValueError):
 
 def make_env(spec: str):
     """chainN | randomSxA[@seed] | pointmass | file:<path>."""
-    spec = spec.strip()
     try:
         m = re.fullmatch(r"chain(\d+)", spec)
         if m:
@@ -61,15 +61,14 @@ def make_env(spec: str):
     raise ConfigError(f"unknown environment spec {spec!r}")
 
 
-def make_policy(env, sigma: float = 0.5, trunc_c: float = 3.0):
-    """Default zero-initialized policy matching the environment type."""
+def make_policy(env, **policy):
+    """Default zero-initialized policy matching the environment type; the
+    keywords (sigma, trunc_c) go to the point-mass Gaussian policy."""
     if isinstance(env, TabularMdp):
         return TabularSoftmaxPolicy.zeros(env.n_states, env.n_actions)
     if isinstance(env, PointMassEnv):
         feats = PointMassFeatures(env.state_radius)
-        return TruncatedLinearGaussianPolicy(
-            feats, np.zeros(feats.dim), sigma=sigma, trunc_c=trunc_c
-        )
+        return TruncatedLinearGaussianPolicy(feats, np.zeros(feats.dim), **policy)
     raise ConfigError(f"no default policy for environment {type(env).__name__}")
 
 
@@ -116,7 +115,9 @@ _BOOL = _parser(lambda raw: _TRUTH[raw.lower()], "a boolean")
 # Every config key: its parser and its CLI default. A key left out or set to
 # "" takes the default, and an empty default reads as None. The run.* and
 # subproblem.* keys are RunConfig and SubproblemConfig fields by name,
-# except run.budget; policy.* are make_policy's keyword arguments.
+# except run.budget; policy.* are make_policy's keyword arguments. Each
+# default equals the default of the field it sets, except the env-dependent
+# subproblem.kind.
 KEYS = {
     "env": (str, ""),  # required
     "algorithms": (str, "npg-hm"),
@@ -186,12 +187,12 @@ def build_train_spec(mapping: dict[str, str], out_dir=None) -> TrainSpec:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     values = {key: _read(mapping, key) for key in KEYS}
-    env_spec = values["env"]
-    if env_spec is None:
+    if values["env"] is None:
         raise ConfigError("missing required key `env`")
+    env_spec = values["env"].strip()
     env = make_env(env_spec)  # fail fast on bad specs
     if values["subproblem.kind"] is None:
-        values["subproblem.kind"] = "exact" if env_spec != "pointmass" else "sgd_average"
+        values["subproblem.kind"] = "exact" if isinstance(env, TabularMdp) else "sgd_average"
 
     if values["algorithms"] == "all":
         algs = list(ALGORITHMS)
@@ -306,7 +307,7 @@ def _run_cell(spec: TrainSpec, algorithm: str, seed: int) -> dict | Path:
         result = ALGORITHMS[algorithm](env, policy, cfg)
     except NanAbortError as exc:
         _write_csv(csv_path, algorithm, seed, exc.records, spec.timing)
-        state = exc.state
+        momentum = exc.u is not None  # pg carries no momentum
         diag_path = spec.out_dir / f"{stem}_diagnostic.json"
         _write_json(diag_path, {
             "algorithm": algorithm,
@@ -314,15 +315,14 @@ def _run_cell(spec: TrainSpec, algorithm: str, seed: int) -> dict | Path:
             "t": exc.t,
             "what": exc.what,
             "theta": np.asarray(exc.theta, dtype=float).tolist(),
-            "momentum_u": state.u.tolist() if state is not None else None,
-            "momentum_theta_prev": state.theta_prev.tolist() if state is not None else None,
-            "momentum_t": state.t if state is not None else None,
+            "momentum_u": exc.u.tolist() if momentum else None,
+            "momentum_theta_prev": exc.theta_prev.tolist() if momentum else None,
+            "momentum_t": exc.t if momentum else None,
         })
         return diag_path
     _write_csv(csv_path, algorithm, seed, result.records, spec.timing)
     policy_path = spec.out_dir / f"{stem}.policy"
     _write_atomic(policy_path, functools.partial(save_policy, policy.with_params(result.theta)))
-    meta = result.meta
     last = result.records[-1] if result.records else None
     return {
         "algorithm": algorithm,
@@ -330,11 +330,11 @@ def _run_cell(spec: TrainSpec, algorithm: str, seed: int) -> dict | Path:
         "csv": csv_path.name,
         "policy": policy_path.name,
         "big_t": cfg.big_t,
-        "horizon": meta["horizon"],
-        "geom_cap": meta["geom_cap"],
-        "alpha0": meta["alpha0"],
-        "alpha0_theory": meta["alpha0_theory"],
-        "trajectories": meta["trajectories"],
+        "horizon": result.horizon,
+        "geom_cap": result.geom_cap,
+        "alpha0": result.alpha0,
+        "alpha0_theory": result.alpha0_theory,
+        "trajectories": result.trajectories,
         "final_j": last.j_hat if last else None,
         "final_gap": last.gap if last else None,
     }
@@ -405,41 +405,37 @@ def train_experiment(spec: TrainSpec) -> TrainOutput:
 # ---------------------------------------------------------------------------
 
 def sweep_experiment(
-    spec: TrainSpec,
-    alpha0_grid: list,
-    tau0_grid: list,
-    n_iters_grid: list,
+    mapping: dict[str, str],
+    alpha0_grid: list | None,
+    tau0_grid: list | None,
+    n_iters_grid: list | None,
 ) -> dict:
     """Grid over (alpha0, tau0, K); each cell trains algorithms x seeds under
-    one shared trajectory budget and reports the median final gap. Every
-    cell's config is checked before any directory is made."""
-    try:
-        cells = [
-            (alpha0, tau0, n_iters, replace(
-                spec.run,
-                alpha0=alpha0,
-                tau0=tau0,
-                subproblem=replace(spec.run.subproblem, n_iters=n_iters),
-            ))
-            for alpha0 in alpha0_grid
-            for tau0 in tau0_grid
-            for n_iters in n_iters_grid
-        ]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    one shared trajectory budget and reports the median final gap. A grid
+    value is read like a config value of its key (run.alpha0, run.tau0,
+    subproblem.n_iters); a None grid keeps the mapping's own value. Every
+    cell's spec is built with build_train_spec before any directory is made."""
+    spec = build_train_spec(mapping)
+    keys = ("run.alpha0", "run.tau0", "subproblem.n_iters")
+    grids = [[mapping.get(key, "")] if grid is None else grid
+             for key, grid in zip(keys, (alpha0_grid, tau0_grid, n_iters_grid))]
+    cells = []
+    for values in itertools.product(*grids):
+        cell = {**mapping, **{key: str(value) for key, value in zip(keys, values)}}
+        name = "a{}_t{}_k{}".format(*(_read(cell, key) for key in keys))
+        cells.append(build_train_spec(cell, out_dir=spec.out_dir / name))
     spec.out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     best = None
-    for alpha0, tau0, n_iters, run in cells:
-        cell_spec = replace(spec, run=run, out_dir=spec.out_dir / f"a{alpha0}_t{tau0}_k{n_iters}")
-        out = train_experiment(cell_spec)
+    for cell in cells:
+        out = train_experiment(cell)
         for alg in spec.algorithms:
             stats = out.summary["algorithms"][alg]
             row = {
                 "algorithm": alg,
-                "alpha0": alpha0,
-                "tau0": tau0,
-                "n_iters": n_iters,
+                "alpha0": cell.run.alpha0,
+                "tau0": cell.run.tau0,
+                "n_iters": cell.run.subproblem.n_iters,
                 "final_gap_median": stats["final_gap"]["median"],
                 "final_j_median": stats["final_j"]["median"],
             }

@@ -40,7 +40,7 @@ class SubproblemConfig:
     kind: str = "sgd_average"
     n_iters: int = 100
     eta: float | str = "auto"
-    damping: float = 1e-3
+    damping: float = 0.3
     warm_start: bool = False
     adam_lr: float = 1e-3
 
@@ -113,7 +113,7 @@ def adam_subsolver(
     return w
 
 
-def exact_npg_direction(fim: np.ndarray, u: np.ndarray, damping: float = 1e-3) -> np.ndarray:
+def exact_npg_direction(fim: np.ndarray, u: np.ndarray, damping: float) -> np.ndarray:
     """(F + damping I)^{-1} u; damping == 0 falls back to the eigenvalue-
     cutoff pseudoinverse for singular F."""
     fim = np.asarray(fim, dtype=float)
@@ -163,29 +163,15 @@ class TableScorePolicy(Policy):
     def m_g(self) -> float:
         return float((self.table**2).sum(axis=1).max())
 
-    @property
-    def m_h(self) -> float:
-        return 0.0
-
     def score(self, s: int, a: int) -> np.ndarray:
         return self.table[s]
 
-    def log_density_hvp(self, s, a, x) -> np.ndarray:
-        return np.zeros(self.dim)
-
-    def make_sampler(self, rng: np.random.Generator, probs=None) -> Sampler:
-        """Uniform (or weighted) row sampler matching the () -> (s, a) shape."""
+    def make_sampler(self, rng: np.random.Generator) -> Sampler:
+        """Uniform row sampler matching the () -> (s, a) shape."""
         n = self.table.shape[0]
-        if probs is None:
-            return lambda: (int(rng.integers(n)), 0)
-        cum = np.cumsum(np.asarray(probs, dtype=float))
-        return lambda: (
-            min(int(np.searchsorted(cum, rng.random(), side="right")), n - 1),
-            0,
-        )
+        return lambda: (int(rng.integers(n)), 0)
 
-    def fisher(self, probs=None) -> np.ndarray:
-        """Exact F = E[x x^T] under the sampling weights."""
+    def fisher(self) -> np.ndarray:
+        """Exact F = E[x x^T] under uniform rows."""
         n = self.table.shape[0]
-        p = np.full(n, 1.0 / n) if probs is None else np.asarray(probs, dtype=float)
-        return np.einsum("i,id,ie->de", p, self.table, self.table)
+        return np.einsum("i,id,ie->de", np.full(n, 1.0 / n), self.table, self.table)

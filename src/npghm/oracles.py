@@ -254,34 +254,6 @@ def performance_difference(mdp: TabularMdp, pi_new, pi_old) -> float:
     return float(np.sum(d_sa_new * adv_old)) / (1.0 - mdp.gamma)
 
 
-@dataclass(frozen=True)
-class ExactMdpQuantities:
-    """Everything exact for one (MDP, policy) pair."""
-
-    v: np.ndarray
-    q: np.ndarray
-    advantage: np.ndarray
-    visitation: np.ndarray
-    grad: np.ndarray
-    fim: np.ndarray
-    j: float
-    j_star: float
-
-
-def exact_quantities(mdp: TabularMdp, policy) -> ExactMdpQuantities:
-    """Bundle of the exact oracle outputs for one (MDP, policy) pair."""
-    return ExactMdpQuantities(
-        v=exact_value(mdp, policy),
-        q=exact_q(mdp, policy),
-        advantage=exact_advantage(mdp, policy),
-        visitation=exact_visitation(mdp, policy),
-        grad=exact_policy_gradient(mdp, policy),
-        fim=exact_fim(mdp, policy),
-        j=exact_return(mdp, policy),
-        j_star=optimal_return(mdp).j_star,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Analytic constants of the convergence analysis
 # ---------------------------------------------------------------------------

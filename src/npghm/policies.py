@@ -17,6 +17,8 @@ from typing import Sequence
 import numpy as np
 from scipy.special import erf
 
+from .envs import _softmax_rows
+
 _HEADER_MAGIC = "npghm-policy v1"
 
 
@@ -79,9 +81,7 @@ class TabularSoftmaxPolicy(Policy):
     def probs_matrix(self) -> np.ndarray:
         cached = getattr(self, "_probs", None)
         if cached is None:
-            z = self.logits - self.logits.max(axis=1, keepdims=True)
-            e = np.exp(z)
-            cached = e / e.sum(axis=1, keepdims=True)
+            cached = _softmax_rows(self.logits)
             object.__setattr__(self, "_probs", cached)
         return cached
 
@@ -145,19 +145,11 @@ class TabularSoftmaxPolicy(Policy):
         return (occupancy[:, None] * hx).reshape(-1)
 
 
-class FeatureMap:
-    """Bounded feature map phi: state -> R^d with ||phi|| <= r_phi; a
-    subclass also defines batch(states), one feature row per state."""
-
-    r_phi: float
-    dim: int
-
-    def __call__(self, s) -> np.ndarray:
-        raise NotImplementedError
-
+# A feature map phi: state -> R^d with ||phi|| <= r_phi exposes dim, r_phi,
+# phi(s) and batch(states), one feature row per state.
 
 @dataclass(frozen=True)
-class PointMassFeatures(FeatureMap):
+class PointMassFeatures:
     """phi(s) = (clip(s)/radius, 1)/sqrt(2); unit bound r_phi = 1."""
 
     state_radius: float
@@ -180,7 +172,7 @@ class PointMassFeatures(FeatureMap):
 
 
 @dataclass(frozen=True)
-class ArrayFeatures(FeatureMap):
+class ArrayFeatures:
     """States already are feature vectors; declared bound passed through."""
 
     dim: int
@@ -205,7 +197,7 @@ class TruncatedLinearGaussianPolicy(Policy):
     recovers the plain Gaussian.
     """
 
-    features: FeatureMap
+    features: PointMassFeatures | ArrayFeatures
     theta: np.ndarray
     sigma: float = 0.5
     trunc_c: float = 3.0
@@ -357,7 +349,7 @@ def save_policy(policy: Policy, path) -> None:
         fh.write(np.ascontiguousarray(policy.theta, dtype="<f8").tobytes())
 
 
-def load_policy(path, features: FeatureMap | None = None) -> Policy:
+def load_policy(path, features: PointMassFeatures | ArrayFeatures | None = None) -> Policy:
     """Inverse of save_policy; linear-Gaussian policies need their feature
     map supplied (it is code, not data)."""
     with open(path, "rb") as fh:

@@ -33,16 +33,6 @@ class CheckResult:
     measured: float
     passed: bool
 
-    def row(self) -> dict:
-        return {
-            "group": self.group,
-            "name": self.name,
-            "description": self.description,
-            "bound": self.bound,
-            "measured": self.measured,
-            "passed": bool(self.passed),
-        }
-
 
 def _rng(seed: int, salt: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1000 + salt,)))
@@ -582,8 +572,7 @@ def check_npg_hm_trend(seed: int) -> CheckResult:
     mdp = envs.chain(5, gamma=0.9)
     pol = policies.TabularSoftmaxPolicy.zeros(5, 2)
     cfg = algorithms.RunConfig(
-        big_t=300, alpha0=0.05, tau0=500.0, seed=seed,
-        subproblem=natural_gradient.SubproblemConfig(kind="exact", damping=0.3),
+        big_t=300, tau0=500.0, seed=seed, subproblem=natural_gradient.SubproblemConfig(kind="exact")
     )
     res = algorithms.run_npg_hm(mdp, pol, cfg)
     j_star = oracles.optimal_return(mdp).j_star

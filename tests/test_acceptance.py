@@ -201,12 +201,12 @@ def test_08_desk_scale_convergence():
         )
         res = run_npg_hm(mdp, TabularSoftmaxPolicy.zeros(5, 2), cfg)
         npg_gaps.append(res.records[-1].gap)
-        budgets.add(res.meta["trajectories"])
+        budgets.add(res.trajectories)
         # same trajectory budget: 1 + 2 (2000 - 2) = 3997 -> T = 3998 for PG
         cfg_pg = RunConfig(big_t=3998, alpha0=0.05, tau0=500.0, seed=seed, eval_interval=3998)
         res_pg = run_vanilla_pg(mdp, TabularSoftmaxPolicy.zeros(5, 2), cfg_pg)
         pg_gaps.append(res_pg.records[-1].gap)
-        budgets.add(res_pg.meta["trajectories"])
+        budgets.add(res_pg.trajectories)
     med = statistics.median(npg_gaps)
     med_pg = statistics.median(pg_gaps)
     elapsed = time.perf_counter() - start

@@ -98,12 +98,11 @@ class TestBookkeeping:
         pol = TabularSoftmaxPolicy.zeros(3, 2)
         cfg = RunConfig(big_t=12, alpha0=0.05, horizon=6, seed=0,
                         subproblem=SubproblemConfig(kind="identity"))
-        for runner, alg in [(run_npg_hm, "npg-hm"), (run_harpg, "harpg")]:
+        for runner in (run_npg_hm, run_harpg):
             res = runner(mdp, pol, cfg)
             counts = [r.trajectories for r in res.records]
             assert counts == [1] + [1 + 2 * k for k in range(1, 11)]
-            assert res.meta["trajectories"] == 1 + 2 * (12 - 2)
-            assert res.meta["algorithm"] == alg
+            assert res.trajectories == 1 + 2 * (12 - 2)
 
     def test_trajectory_accounting_single(self):
         mdp = chain(3)
@@ -113,7 +112,7 @@ class TestBookkeeping:
         for runner in (run_vanilla_pg, run_mnpg):
             res = runner(mdp, pol, cfg)
             assert [r.trajectories for r in res.records] == list(range(1, 9))
-            assert res.meta["trajectories"] == 8
+            assert res.trajectories == 8
 
     def test_eval_interval(self):
         mdp = chain(3)
@@ -130,12 +129,8 @@ class TestBookkeeping:
         cfg = RunConfig(big_t=5, alpha0=0.1, horizon=7, seed=3,
                         subproblem=SubproblemConfig(kind="exact", damping=0.3))
         res = run_npg_hm(mdp, pol, cfg)
-        meta = res.meta
-        assert meta["horizon"] == 7
-        assert meta["seed"] == 3
-        assert meta["gamma"] == mdp.gamma
-        assert meta["subproblem_kind"] == "exact"
-        assert meta["alpha0"] == 0.1
+        assert res.horizon == 7
+        assert res.alpha0 == 0.1
 
 
 class TestDeterminism:
@@ -249,8 +244,8 @@ class TestSolverPlumbing:
         cfg = RunConfig(big_t=4, alpha0="theory", horizon=6,
                         subproblem=SubproblemConfig(kind="identity"))
         res = run_npg_hm(mdp, pol, cfg)
-        assert res.meta["alpha0"] > 0
-        assert res.meta["alpha0_theory"] == res.meta["alpha0"]
+        assert res.alpha0 > 0
+        assert res.alpha0_theory == res.alpha0
 
     def test_numeric_alpha0_keeps_theory_field_empty(self):
         mdp = chain(3)
@@ -258,8 +253,8 @@ class TestSolverPlumbing:
         cfg = RunConfig(big_t=4, alpha0=0.05, horizon=6,
                         subproblem=SubproblemConfig(kind="identity"))
         res = run_npg_hm(mdp, pol, cfg)
-        assert res.meta["alpha0"] == 0.05
-        assert res.meta["alpha0_theory"] is None
+        assert res.alpha0 == 0.05
+        assert res.alpha0_theory is None
 
 
 class TestNanAbort:

@@ -1,4 +1,5 @@
 """Experiment harness and CLI: config parsing, CSV output, reruns, exit codes."""
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from npghm import cli, harness
-from npghm.algorithms import IterateRecord
+from npghm.algorithms import IterateRecord, RunConfig
 from npghm.envs import PointMassEnv, TabularMdp, chain, dump_mdp_text, random_mdp
 from npghm.harness import (
     CSV_COLUMNS,
@@ -22,6 +23,7 @@ from npghm.harness import (
     sweep_experiment,
     train_experiment,
 )
+from npghm.natural_gradient import SubproblemConfig
 from npghm.policies import TabularSoftmaxPolicy, TruncatedLinearGaussianPolicy, load_policy
 from npghm.verify import CHECKS, run_checks
 
@@ -120,6 +122,21 @@ class TestBuildSpec:
         assert spec.run.subproblem.damping == 0.3
         assert spec.timing is False
         assert spec.budget is None
+
+    def test_key_defaults_equal_library_defaults(self):
+        # run.big_t has no library default, run.budget sets no field, and
+        # subproblem.kind defaults by env type
+        fields = {
+            "run": RunConfig, "subproblem": SubproblemConfig, "policy": TruncatedLinearGaussianPolicy,
+        }
+        library = {
+            f"{prefix}.{f.name}": f.default for prefix, cls in fields.items() for f in dataclasses.fields(cls)
+        }
+        exempt = {"run.big_t", "run.budget", "subproblem.kind"}
+        checked = [key for key in harness.KEYS if key.split(".")[0] in fields and key not in exempt]
+        assert len(checked) == 15
+        for key in checked:
+            assert harness._read({}, key) == library[key], key
 
     def test_pointmass_defaults_to_sampled_subsolver(self):
         spec = build_train_spec({"env": "pointmass"})
@@ -298,9 +315,8 @@ class TestTrainExperiment:
 
 class TestSweep:
     def test_grid_rows_and_best(self, tmp_path):
-        spec = build_train_spec(small_mapping(), out_dir=tmp_path)
         result = sweep_experiment(
-            spec, alpha0_grid=[0.05, 0.5], tau0_grid=[20.0], n_iters_grid=[5]
+            small_mapping(out=tmp_path), alpha0_grid=["0.05", "0.5"], tau0_grid=["20.0"], n_iters_grid=["5"]
         )
         assert len(result["rows"]) == 2
         assert result["best"] in result["rows"]
@@ -367,6 +383,8 @@ class TestCli:
             ["--config", "{tmp}/missing.cfg"],
             ["--config", "{tmp}"],
             ["--set", "run.force_beta=abc"],
+            ["sweep", "--sweep-tau0", "abc"],
+            ["sweep", "--sweep-K", "abc"],
         ],
     )
     def test_bad_config_exits_two_before_training(self, tmp_path, capsys, extra):
@@ -380,9 +398,12 @@ class TestCli:
         assert len(err.splitlines()) == 1
         assert err.startswith("configuration error")
         assert not out.exists()
-        for flag, pair in zip(extra, extra[1:]):
-            if flag == "--set" and pair.endswith("=abc"):  # a value no parser takes names its key
-                assert pair.split("=")[0] in err
+        sweep_keys = {"--sweep-alpha0": "run.alpha0", "--sweep-tau0": "run.tau0", "--sweep-K": "subproblem.n_iters"}
+        for flag, value in zip(extra, extra[1:]):  # a value no parser takes names its key
+            if flag == "--set" and value.endswith("=abc"):
+                assert value.split("=")[0] in err
+            if flag in sweep_keys and value == "abc":
+                assert f"{sweep_keys[flag]} must be" in err
 
     def test_abort_exits_three_with_pointer(self, tmp_path, capsys):
         argv = wrap_train_args(tmp_path) + [
@@ -474,6 +495,24 @@ class TestCli:
         assert code == 0
         assert "best:" in captured.out
         assert (tmp_path / "chain3" / "sweep.csv").exists()
+
+    def test_env_spec_is_stripped_once(self, tmp_path, capsys):
+        # the solver default and the output directory follow the env the spec builds
+        assert build_train_spec({"env": " pointmass"}).run.subproblem.kind == "sgd_average"
+        code = cli.main(["train", "--env", " pointmass", "--alg", "npg-hm", "--T", "3", "--out", str(tmp_path)])
+        assert code == 0
+        summary = json.loads((tmp_path / "pointmass" / "summary.json").read_text(encoding="utf-8"))
+        assert summary["env"] == "pointmass"
+        assert [p.name for p in tmp_path.iterdir()] == ["pointmass"]
+
+    def test_sweep_grid_values_read_like_their_keys(self, tmp_path, capsys):
+        argv = wrap_train_args(tmp_path) + ["--sweep-alpha0", "theory,0.5", "--sweep-K", "7"]
+        argv[0] = "sweep"
+        assert cli.main(argv) == 0
+        cells = sorted(p.name for p in (tmp_path / "chain3").iterdir() if p.is_dir())
+        assert cells == ["a0.5_t20.0_k7", "atheory_t20.0_k7"]
+        header, rows = read_csv(tmp_path / "chain3" / "sweep.csv")
+        assert [row[1:4] for row in rows] == [["theory", "20.0", "7"], ["0.5", "20.0", "7"]]
 
     def test_readme_lists_every_key_with_its_default_and_flag(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")

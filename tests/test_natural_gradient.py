@@ -167,11 +167,11 @@ class TestExactDirection:
     def test_rejects_asymmetric(self):
         f = np.array([[1.0, 0.3], [0.0, 1.0]])
         with pytest.raises(ValueError):
-            exact_npg_direction(f, np.ones(2))
+            exact_npg_direction(f, np.ones(2), damping=1e-3)
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
-            exact_npg_direction(np.eye(3), np.ones(2))
+            exact_npg_direction(np.eye(3), np.ones(2), damping=1e-3)
 
     def test_zero_damping_pinv_on_singular(self):
         f = np.diag([1.0, 0.0])

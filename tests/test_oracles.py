@@ -14,7 +14,6 @@ from npghm.oracles import (
     exact_fim,
     exact_policy_gradient,
     exact_q,
-    exact_quantities,
     exact_return,
     exact_state_action_visitation,
     exact_truncated_gradient,
@@ -298,11 +297,3 @@ class TestLqr:
         quiet = PointMassEnv(noise_std=0.0)
         assert lqr_optimal_return(quiet) > j  # noise only hurts
 
-
-class TestExactQuantities:
-    def test_bundle_is_consistent_and_serializable(self):
-        mdp = random_mdp(3, 2, seed=26, gamma=0.8)
-        pol = softmax(mdp, 0.3 * np.random.default_rng(27).standard_normal(6))
-        q = exact_quantities(mdp, pol)
-        assert q.j == pytest.approx(exact_return(mdp, pol.probs_matrix()))
-        assert np.allclose(q.grad, exact_policy_gradient(mdp, pol))
