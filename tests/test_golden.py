@@ -5,16 +5,32 @@ The digests pin the exact bytes of the training loop's output, so a refactor
 or a speed-up that should not change results is checked here to the bit. A
 change that is meant to alter the outputs re-pins them, in a change of its
 own, with `PYTHONPATH=src python tests/test_golden.py`, which prints the
-DIGESTS table for the current code.
+DIGESTS table for the current code. `PYTHONPATH=src python tests/test_golden.py
+CASE [CASE ...]` prints the entries of the named cases only, which is how a
+new case is pinned on the commit before the change it guards.
+
+Each case trains in its own process with BLAS on one thread: LAPACK's dense
+solve at d >= 100 rounds differently at different thread counts, so a digest
+is only comparable at a fixed count (perfbench pins one thread too).
 """
+import ast
 import hashlib
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-import pytest
+BLAS_ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+if __name__ == "__main__":
+    os.environ.update(BLAS_ONE_THREAD)  # before numpy loads its BLAS
 
-from npghm.harness import build_train_spec, train_experiment
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from npghm.harness import build_train_spec, train_experiment  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
 
 COMMON = {"algorithms": "all", "seeds": "0,1", "run.eval_interval": "4"}
 
@@ -38,6 +54,8 @@ CASES = {
         "env": "random4x3@1", "run.big_t": "12", "run.force_beta": "0.3",
         "subproblem.kind": "sgd_average", "subproblem.warm_start": "true",
     },
+    # d=200: the exact Fisher's dense reduction crosses 39 zero blocks per entry
+    "random40x5-exact": {"env": "random40x5@1", "run.big_t": "8", "subproblem.kind": "exact"},
 }
 
 DIGESTS = {
@@ -136,6 +154,25 @@ DIGESTS = {
         'pg_seed1.policy': '7f7f32cd6280c51668da7b599dc8455ec231857ec0031f03ad31c8c5418bac5b',
         'summary.json': 'f496d2af8f6fdd665743ccb2f0f9fca291e76aed6a44283d4a4a5c774e14697f',
     },
+    'random40x5-exact': {
+        'harpg_seed0.csv': '8deb73c909261c4a9d86be7141674bb999ac07b066ba493d5f6194dcf4978c76',
+        'harpg_seed0.policy': '3ccaa038c88832cbb48613c9bbf6bad7e19ea2afb690400a2b3fea4898267dcf',
+        'harpg_seed1.csv': 'ae3ce08f6912b1606ec53e4ad7ba2a2e8a8a1d64b642bde7f6b86be37b57f7b8',
+        'harpg_seed1.policy': '4434e264bddc2c10c7ce2e11e1dfe9462393ed26926e54b3b21738697ac5362c',
+        'mnpg_seed0.csv': '58a0c1c24ff629b02444a29a20367ed8059fd6d3332300cce9b2d6c02c08335f',
+        'mnpg_seed0.policy': '788033a9040cb5c57c3c02093519a8e41d7c919309f9c06ed91461a15a611de0',
+        'mnpg_seed1.csv': '7e514bf92dbf9d37ee899e2c065cccb89b650182908623a6324636fa4e67ecd5',
+        'mnpg_seed1.policy': 'bec1f8b9974a6e2b78756f7f82860fdafee44e67c576903c75a963ff62e97a8e',
+        'npg-hm_seed0.csv': 'db9d4400acd62a14bdf99a5780b78baee6476ef471bf2fcea70e294c8abe9649',
+        'npg-hm_seed0.policy': 'd1d2339bc8bd6af017057e4e6f6785ad21279075806dc02b8de998207948b829',
+        'npg-hm_seed1.csv': '8c4d11dad52165797f15985a8c123afe0759078a218adafe23c26a16a8edadd2',
+        'npg-hm_seed1.policy': 'c8c92d8fbfe453dad98057a4c7e42f244dadf7725e55e4c82c45f8e4dfd3fc56',
+        'pg_seed0.csv': '6d5b593c8f257085dff27b987efc9069a3ac058e6bedb6b0dcaa3db87402025d',
+        'pg_seed0.policy': '18731d978f66a72ba8d5f531872a7e8afd000cb89ab03fdf6589fc48ae80bcce',
+        'pg_seed1.csv': '68bcd1d85c95cc9bac5b9ae65fbb51e1cac251de4a946883230f8e3f3e80b402',
+        'pg_seed1.policy': '15b15ec8f5513dfefac828c5d74f3e18d8e373ceae72c45da1a264e8b224d70c',
+        'summary.json': '055aeb9d033ea1a1cc00243a6e8d8208b1d8ad581f0c89f18f8bc64954733308',
+    },
     'random4x3-beta03-warm': {
         'harpg_seed0.csv': '9885fce9dd1717e0132d8641b94946029872cef1de8052146ff3aaf705d6d042',
         'harpg_seed0.policy': '20e178e25d05681016d9677f2c6d3417c8397c4c4fd543ae382e55caab4e9a47',
@@ -207,17 +244,40 @@ def output_digests(case: str, out_dir: Path) -> dict:
     }
 
 
+def child_digests(case: str) -> dict:
+    """output_digests of one case, computed by this file run as a script."""
+    env = {**os.environ, **BLAS_ONE_THREAD}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, __file__, case],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval("{" + proc.stdout + "}")[case]
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_outputs_match_golden_digests(case, tmp_path):
-    assert output_digests(case, tmp_path) == DIGESTS[case]
+def test_outputs_match_golden_digests(case):
+    assert child_digests(case) == DIGESTS[case]
 
 
-if __name__ == "__main__":
-    print("DIGESTS = {")
-    for case in sorted(CASES):
+def print_digests(cases) -> None:
+    for case in cases:
         with tempfile.TemporaryDirectory() as tmp:
             print(f"    {case!r}: {{")
             for name, digest in output_digests(case, Path(tmp)).items():
                 print(f"        {name!r}: {digest!r},")
             print("    },")
-    print("}")
+
+
+if __name__ == "__main__":
+    named = sys.argv[1:]
+    unknown = [case for case in named if case not in CASES]
+    if unknown:
+        sys.exit(f"unknown case(s): {', '.join(unknown)}; known: {', '.join(sorted(CASES))}")
+    if named:
+        print_digests(named)
+    else:
+        print("DIGESTS = {")
+        print_digests(sorted(CASES))
+        print("}")
