@@ -89,13 +89,29 @@ def exact_state_action_visitation(mdp: TabularMdp, pi) -> np.ndarray:
     return exact_visitation(mdp, pi_m)[:, None] * pi_m
 
 
+def _score_blocks(pi: np.ndarray) -> np.ndarray:
+    """B[s, a] = e_a - pi(.|s), the tabular softmax score(s, a) on its own
+    state's block; -pi(.|s) plus 1.0 on the action, as policy.score writes it
+    (so a zero probability gives -0.0 there too)."""
+    n_a = pi.shape[1]
+    blocks = np.repeat(-pi[:, None, :], n_a, axis=1)
+    blocks[:, np.arange(n_a), np.arange(n_a)] += 1.0
+    return blocks
+
+
+def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
+    """(S, A, A) blocks scattered onto the diagonal of an (S, A, S*A) array:
+    out[s, :, s*A:(s+1)*A] = blocks[s], +0.0 elsewhere."""
+    n_s, n_a, _ = blocks.shape
+    out = np.zeros((n_s, n_a, n_s, n_a))
+    out[np.arange(n_s), :, np.arange(n_s), :] = blocks
+    return out.reshape(n_s, n_a, n_s * n_a)
+
+
 def _score_table(mdp: TabularMdp, policy) -> np.ndarray:
-    """score(s, a) stacked into an (S, A, d) tensor."""
-    table = np.empty((mdp.n_states, mdp.n_actions, policy.dim))
-    for s in range(mdp.n_states):
-        for a in range(mdp.n_actions):
-            table[s, a] = policy.score(s, a)
-    return table
+    """score(s, a) of a tabular softmax policy stacked into an (S, A, d)
+    tensor; the same bits as calling policy.score for every pair."""
+    return _block_diagonal(_score_blocks(_policy_matrix(mdp, policy)))
 
 
 def exact_policy_gradient(mdp: TabularMdp, policy) -> np.ndarray:
@@ -108,10 +124,23 @@ def exact_policy_gradient(mdp: TabularMdp, policy) -> np.ndarray:
 
 
 def exact_fim(mdp: TabularMdp, policy) -> np.ndarray:
-    """Fisher information F = E_{d~}[score score^T]."""
-    d_sa = exact_state_action_visitation(mdp, policy)
-    scores = _score_table(mdp, policy)
-    return np.einsum("sa,sad,sae->de", d_sa, scores, scores)
+    """Fisher information F = E_{d~}[score score^T] of a tabular softmax
+    policy, as a dense (S*A, S*A) matrix.
+
+    A score is supported on its own state's block, so F is block-diagonal
+    with F_s = sum_a d~(s, a) B[s, a] B[s, a]^T, B = _score_blocks. Each block
+    is summed over actions in order, O(S A^3) in all, then placed in a zero
+    matrix. Every off-block entry of the dense contraction
+    sum_{s,a} d~ score score^T, O(S A d^2), is a sum of exact zeros, so the
+    result has the same bits as that contraction.
+    """
+    pi = _policy_matrix(mdp, policy)
+    d_sa = exact_visitation(mdp, pi)[:, None] * pi
+    b = _score_blocks(pi)
+    f_blocks = np.zeros(b.shape)
+    for a in range(mdp.n_actions):
+        f_blocks += (d_sa[:, a, None, None] * b[:, a, :, None]) * b[:, a, None, :]
+    return _block_diagonal(f_blocks).reshape(pi.size, pi.size)
 
 
 def exact_step_distributions(mdp: TabularMdp, pi, horizon: int) -> np.ndarray:

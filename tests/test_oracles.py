@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from npghm.envs import PointMassEnv, TabularMdp, bandit, chain, pointmass, random_mdp
 from npghm.oracles import (
@@ -24,6 +26,7 @@ from npghm.oracles import (
     lqr_riccati_fixed_point,
     lqr_riccati_residual,
     min_norm_compatible_w,
+    _score_table,
     optimal_return,
     performance_difference,
     theoretical_alpha0,
@@ -38,6 +41,39 @@ def softmax(mdp, theta):
 
 def uniform(mdp):
     return np.full((mdp.n_states, mdp.n_actions), 1.0 / mdp.n_actions)
+
+
+def score_loop(mdp, pol):
+    """The (S, A, d) score table from one policy.score call per pair."""
+    table = np.empty((mdp.n_states, mdp.n_actions, pol.dim))
+    for s in range(mdp.n_states):
+        for a in range(mdp.n_actions):
+            table[s, a] = pol.score(s, a)
+    return table
+
+
+def dense_fim(mdp, pol):
+    """F = sum_{s,a} d~(s,a) score score^T as one dense contraction over all
+    S*A pairs, O(S A d^2): the reference exact_fim's block build must equal."""
+    scores = score_loop(mdp, pol)
+    d_sa = exact_state_action_visitation(mdp, pol)
+    return np.einsum("sa,sad,sae->de", d_sa, scores, scores)
+
+
+def random_softmax(n_states, n_actions, seed, scale):
+    """A random MDP and softmax logits of the given scale; at scale 800 many
+    probabilities underflow to exact zeros."""
+    mdp = random_mdp(n_states, n_actions, seed=seed, gamma=0.9)
+    logits = scale * np.random.default_rng(seed).standard_normal(n_states * n_actions)
+    return mdp, softmax(mdp, logits)
+
+
+SOFTMAX_CASES = dict(
+    n_states=st.integers(1, 64),
+    n_actions=st.integers(1, 17),
+    seed=st.integers(0, 10_000),
+    scale=st.one_of(st.sampled_from([0.0, 800.0]), st.floats(0.0, 800.0)),
+)
 
 
 def two_state_mdp():
@@ -171,6 +207,33 @@ class TestGradients:
         g_full = exact_policy_gradient(mdp, pol)
         g_trunc = exact_truncated_gradient(mdp, pol, 80)
         assert np.abs(g_full - g_trunc).max() < 1e-7
+
+    @settings(max_examples=30, deadline=None)
+    @given(**SOFTMAX_CASES)
+    def test_score_table_has_the_bits_of_policy_score(self, n_states, n_actions, seed, scale):
+        mdp, pol = random_softmax(n_states, n_actions, seed, scale)
+        assert _score_table(mdp, pol).tobytes() == score_loop(mdp, pol).tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(**SOFTMAX_CASES)
+    def test_fim_has_the_bits_of_the_dense_contraction(self, n_states, n_actions, seed, scale):
+        mdp, pol = random_softmax(n_states, n_actions, seed, scale)
+        assert exact_fim(mdp, pol).tobytes() == dense_fim(mdp, pol).tobytes()
+
+    @pytest.mark.parametrize("n_states,n_actions,scale", [(1, 1, 1.0), (6, 4, 1.0), (9, 3, 800.0), (40, 5, 2.0)])
+    def test_fim_is_block_diagonal_with_positive_zeros_off_block(self, n_states, n_actions, scale):
+        mdp, pol = random_softmax(n_states, n_actions, 3, scale)
+        f = exact_fim(mdp, pol)
+        block = np.arange(pol.dim) // n_actions
+        off = block[:, None] != block[None, :]
+        assert np.all(f[off] == 0.0) and not np.any(np.signbit(f[off]))
+        # each diagonal block is d(s) (diag(pi_s) - pi_s pi_s^T)
+        d = exact_visitation(mdp, pol)
+        pi = pol.probs_matrix()
+        for s in range(n_states):
+            rows = slice(s * n_actions, (s + 1) * n_actions)
+            f_s = d[s] * (np.diag(pi[s]) - np.outer(pi[s], pi[s]))
+            assert np.allclose(f[rows, rows], f_s, rtol=1e-12, atol=1e-15)
 
     def test_fim_is_psd_and_zero_mean_consistent(self):
         mdp = random_mdp(3, 3, seed=14, gamma=0.85)
