@@ -54,7 +54,7 @@ CASES = {
         "env": "random4x3@1", "run.big_t": "12", "run.force_beta": "0.3",
         "subproblem.kind": "sgd_average", "subproblem.warm_start": "true",
     },
-    # d=200: the exact Fisher's dense reduction crosses 39 zero blocks per entry
+    # the benchmark's wide exact case: a d=200 Fisher of 40 state blocks
     "random40x5-exact": {"env": "random40x5@1", "run.big_t": "8", "subproblem.kind": "exact"},
 }
 
@@ -246,7 +246,7 @@ def output_digests(case: str, out_dir: Path) -> dict:
 
 def child_digests(case: str) -> dict:
     """output_digests of one case, computed by this file run as a script."""
-    env = {**os.environ, **BLAS_ONE_THREAD}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, __file__, case],
