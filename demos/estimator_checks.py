@@ -7,7 +7,7 @@ parameters recovers their exact gradient difference.
 """
 import numpy as np
 
-from npghm.envs import Trajectory, random_mdp, sample_trajectories_batch
+from npghm.envs import random_mdp, sample_trajectory
 from npghm.estimators import hessian_vector_product, truncated_grad
 from npghm.oracles import exact_truncated_gradient
 from npghm.policies import TabularSoftmaxPolicy
@@ -27,10 +27,9 @@ def main() -> None:
 
     print(f"random 5x3 MDP, gamma = 0.9, H = {horizon}, {n} trajectories")
 
-    states, actions, rewards = sample_trajectories_batch(mdp, pol.logits, horizon, n, rng)
     grads = np.stack([
-        truncated_grad(Trajectory(states[i], actions[i], rewards[i]), pol, mdp.gamma)
-        for i in range(n)
+        truncated_grad(sample_trajectory(mdp, pol, horizon, rng), pol, mdp.gamma)
+        for _ in range(n)
     ])
     mean, se = mc_mean_and_se(grads)
     exact = exact_truncated_gradient(mdp, pol, horizon)
@@ -42,18 +41,11 @@ def main() -> None:
     delta *= 0.1 / np.linalg.norm(delta)
     theta_prev = pol.theta - delta
     q = rng.random(n)
-    logits = theta_prev[None, :] + q[:, None] * delta[None, :]
-    states, actions, rewards = sample_trajectories_batch(
-        mdp, logits.reshape(n, 5, 3), horizon, n, rng
-    )
     hvps = np.stack([
         hessian_vector_product(
-            Trajectory(states[i], actions[i], rewards[i]),
-            pol.with_params(logits[i]),
-            mdp.gamma,
-            delta,
+            sample_trajectory(mdp, pol_hat, horizon, rng), pol_hat, mdp.gamma, delta
         )
-        for i in range(n)
+        for pol_hat in (pol.with_params(theta_prev + q_i * delta) for q_i in q)
     ])
     mean, se = mc_mean_and_se(hvps)
     diff = exact - exact_truncated_gradient(mdp, pol.with_params(theta_prev), horizon)

@@ -6,9 +6,12 @@ rewards; rewards are stored exactly as sampled (post-clip) and are never
 re-derived by downstream estimators; all rewards live in [-1, 1].
 
 Draw contract: a tabular rollout of horizon H consumes exactly 2H+1
-uniforms from its Generator, first one for the initial state, then one
-(action, next state) pair per step. Every inverse-CDF draw, scalar or
-batched, picks the first index whose cumulative probability exceeds u
+uniforms from its Generator in one rng.random call, first one for the
+initial state, then one (action, next state) pair per step. A tabular
+sample_state_action first draws h (rng.geometric, redrawn above the cap;
+no draw at gamma = 0), then takes 2h+2 uniforms in one rng.random call:
+the rollout's 2h+1, then one for the returned action. Every inverse-CDF
+draw picks the first index whose cumulative probability exceeds u
 (searchsorted side="right"), clamped to the last index.
 """
 from __future__ import annotations
@@ -105,24 +108,15 @@ class TabularMdp:
     def n_actions(self) -> int:
         return self.transition.shape[1]
 
-    # Cumulative tables for inverse-CDF sampling, built lazily once.
-    @property
-    def _cum_transition(self) -> np.ndarray:
-        cached = getattr(self, "_cum_p", None)
-        if cached is None:
-            cached = np.cumsum(self.transition, axis=2)
-            object.__setattr__(self, "_cum_p", cached)
-        return cached
-
     def _tables(self) -> tuple[list, list, list]:
-        """Nested-list tables for the scalar samplers, built lazily once:
-        cumulative init distribution, cumulative transition rows [s][a]
-        and rewards [s][a][s']."""
+        """Nested-list tables for the inverse-CDF samplers, built lazily
+        once: cumulative init distribution, cumulative transition rows
+        [s][a] and rewards [s][a][s']."""
         cached = getattr(self, "_lists", None)
         if cached is None:
             cached = (
                 np.cumsum(self.init_dist).tolist(),
-                self._cum_transition.tolist(),
+                np.cumsum(self.transition, axis=2).tolist(),
                 self.reward.tolist(),
             )
             object.__setattr__(self, "_lists", cached)
@@ -207,14 +201,27 @@ def sample_trajectory(env, policy, horizon: int, rng: np.random.Generator) -> Tr
 
 def _sample_tabular(mdp: TabularMdp, policy, horizon: int, rng) -> Trajectory:
     """sample_trajectory for a softmax policy on a tabular MDP: one
-    rng.random(2H+1) call, then a plain-Python walk over the list tables.
-    Draws and indices equal those of initial_state, then sample_action and
-    step per step, on the same Generator."""
+    rng.random(2H+1) call, then _walk."""
+    states, actions, rewards = _walk(mdp, policy, rng.random(2 * horizon + 1).tolist())
+    return Trajectory(
+        states=np.array(states, dtype=np.int64),
+        actions=np.array(actions, dtype=np.int64),
+        rewards=np.array(rewards, dtype=float),
+    )
+
+
+def _walk(mdp: TabularMdp, policy, u: list) -> tuple[list, list, list]:
+    """Plain-Python rollout over the list tables under the uniforms u.
+
+    u[0] draws the initial state, then each pair (u[2k+1], u[2k+2]) one
+    action and next state; a trailing unpaired uniform is not read. Draws
+    and indices equal those of initial_state, then sample_action and step
+    per step. Returns the visited states, actions and rewards as lists.
+    """
     cum_rho, cum_p, reward = mdp._tables()
     cum_pi = policy._cum_probs()
     last_s, last_a = mdp.n_states - 1, policy.n_actions - 1
     bisect_right = bisect.bisect_right
-    u = rng.random(2 * horizon + 1).tolist()
     s = min(bisect_right(cum_rho, u[0]), last_s)
     states = [s]
     actions = []
@@ -231,11 +238,7 @@ def _sample_tabular(mdp: TabularMdp, policy, horizon: int, rng) -> Trajectory:
         rewards.append(reward[s][a][s2])
         states.append(s2)
         s = s2
-    return Trajectory(
-        states=np.array(states, dtype=np.int64),
-        actions=np.array(actions, dtype=np.int64),
-        rewards=np.array(rewards, dtype=float),
-    )
+    return states, actions, rewards
 
 
 def sample_state_action(env, policy, rng: np.random.Generator):
@@ -243,7 +246,8 @@ def sample_state_action(env, policy, rng: np.random.Generator):
 
     h ~ Geom(1-gamma) (so P(h=k) = (1-gamma) gamma^k), the policy is rolled
     h steps, and (s_h, a_h) with a_h ~ pi(.|s_h) is returned. Draws of h
-    above geometric_cap(gamma) are redrawn.
+    above geometric_cap(gamma) are redrawn. On a tabular MDP the rollout
+    and the final action take their 2h+2 uniforms in one rng.random call.
     """
     gamma = env.gamma
     if gamma == 0.0:
@@ -253,115 +257,16 @@ def sample_state_action(env, policy, rng: np.random.Generator):
         h = int(rng.geometric(1.0 - gamma)) - 1
         while h > cap:
             h = int(rng.geometric(1.0 - gamma)) - 1
+    if isinstance(env, TabularMdp):
+        u = rng.random(2 * h + 2).tolist()
+        s = _walk(env, policy, u)[0][-1]
+        a = bisect.bisect_right(policy._cum_probs()[s], u[-1])
+        return s, min(a, policy.n_actions - 1)
     s = env.initial_state(rng)
     for _ in range(h):
         a = policy.sample_action(s, rng)
         s, _ = env.step(s, a, rng)
     return s, policy.sample_action(s, rng)
-
-
-# ---------------------------------------------------------------------------
-# Vectorized samplers for tabular MDPs under softmax-style logits. Same law
-# as the scalar API; used where Monte-Carlo sizes of 1e5..1e6 must stay fast.
-# ---------------------------------------------------------------------------
-
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis; TabularSoftmaxPolicy.probs_matrix too."""
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def _categorical(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    # cum: (n, k) cumulative rows; u: (n,) uniforms. Counting cum <= u is
-    # searchsorted side="right", the scalar samplers' tie rule.
-    idx = (cum <= u[:, None]).sum(axis=1)
-    return np.minimum(idx, cum.shape[1] - 1)
-
-
-def sample_trajectories_batch(
-    mdp: TabularMdp,
-    logits: np.ndarray,
-    horizon: int,
-    n_traj: int,
-    rng: np.random.Generator | None = None,
-    uniforms: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sample n_traj softmax-policy rollouts at once.
-
-    logits is (S, A) for one shared policy or (n_traj, S, A) for one policy
-    per rollout. Returns (states (n, H+1), actions (n, H), rewards (n, H)).
-    `uniforms` = (u_init (n,), u_act (n, H), u_next (n, H)) lets callers
-    reuse common random numbers across parameter perturbations.
-    """
-    logits = np.asarray(logits, dtype=float)
-    per_chain = logits.ndim == 3
-    probs = _softmax_rows(logits)
-    cum_pi = np.cumsum(probs, axis=-1)
-    cum_p = mdp._cum_transition
-    if uniforms is None:
-        if rng is None:
-            raise ValueError("need either rng or explicit uniforms")
-        u_init = rng.random(n_traj)
-        u_act = rng.random((n_traj, horizon))
-        u_next = rng.random((n_traj, horizon))
-    else:
-        u_init, u_act, u_next = uniforms
-
-    states = np.empty((n_traj, horizon + 1), dtype=np.int64)
-    actions = np.empty((n_traj, horizon), dtype=np.int64)
-    rewards = np.empty((n_traj, horizon), dtype=float)
-    cum_rho = np.cumsum(mdp.init_dist)
-    s = np.minimum(np.searchsorted(cum_rho, u_init, side="right"), mdp.n_states - 1)
-    states[:, 0] = s
-    rows = np.arange(n_traj)
-    for h in range(horizon):
-        pi_rows = cum_pi[rows, s] if per_chain else cum_pi[s]
-        a = _categorical(pi_rows, u_act[:, h])
-        s2 = _categorical(cum_p[s, a], u_next[:, h])
-        rewards[:, h] = mdp.reward[s, a, s2]
-        actions[:, h] = a
-        states[:, h + 1] = s2
-        s = s2
-    return states, actions, rewards
-
-
-def sample_state_actions_batch(
-    mdp: TabularMdp,
-    logits: np.ndarray,
-    n_samples: int,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """n_samples i.i.d. draws from the discounted visitation (batch law of
-    sample_state_action for a softmax policy with the given logits)."""
-    gamma = mdp.gamma
-    cap = geometric_cap(gamma) if gamma > 0 else 0
-    if gamma == 0.0:
-        h = np.zeros(n_samples, dtype=np.int64)
-    else:
-        h = rng.geometric(1.0 - gamma, size=n_samples) - 1
-        bad = h > cap
-        while bad.any():
-            h[bad] = rng.geometric(1.0 - gamma, size=int(bad.sum())) - 1
-            bad = h > cap
-    probs = _softmax_rows(np.asarray(logits, dtype=float))
-    cum_pi = np.cumsum(probs, axis=-1)
-    cum_p = mdp._cum_transition
-    cum_rho = np.cumsum(mdp.init_dist)
-    s = np.minimum(
-        np.searchsorted(cum_rho, rng.random(n_samples), side="right"), mdp.n_states - 1
-    )
-    h_max = int(h.max()) if n_samples else 0
-    for k in range(h_max):
-        active = k < h
-        # Draw for every chain each step so the stream layout is fixed.
-        u_a = rng.random(n_samples)
-        u_s = rng.random(n_samples)
-        a = _categorical(cum_pi[s], u_a)
-        s2 = _categorical(cum_p[s, a], u_s)
-        s = np.where(active, s2, s)
-    a_final = _categorical(cum_pi[s], rng.random(n_samples))
-    return s, a_final
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,14 @@ from typing import Sequence
 import numpy as np
 from scipy.special import erf
 
-from .envs import _softmax_rows
-
 _HEADER_MAGIC = "npghm-policy v1"
+
+
+def _softmax_rows(logits: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 class Policy:

@@ -2,7 +2,7 @@
 
 Each check pits a sampled quantity against an exact oracle or an analytic
 bound and reports (bound, measured, passed). The default sizes keep a full
-run near 25 s on a 2-vCPU x86 machine. The acceptance suite
+run near 23 s on a 2-vCPU x86 machine. The acceptance suite
 (tests/test_acceptance.py) runs the same bodies at full size: it passes its
 own Generator and sizes to the keyword arguments of a check, or calls the
 shared helper that the check is built on (truncation_biases,
@@ -73,9 +73,9 @@ def check_env_visitation_tv(seed: int) -> CheckResult:
     mdp = envs.chain(5, gamma=0.9)
     pol = _random_softmax(mdp, rng, scale=0.7)
     n = 1_000_000
-    s_arr, a_arr = envs.sample_state_actions_batch(mdp, pol.logits, n, rng)
     counts = np.zeros((mdp.n_states, mdp.n_actions))
-    np.add.at(counts, (s_arr, a_arr), 1.0)
+    for _ in range(n):
+        counts[envs.sample_state_action(mdp, pol, rng)] += 1.0
     emp = counts / n
     exact = oracles.exact_state_action_visitation(mdp, pol)
     tv = 0.5 * float(np.abs(emp - exact).sum())
@@ -90,7 +90,9 @@ def check_env_step_marginals(seed: int) -> CheckResult:
     mdp = envs.random_mdp(4, 3, seed=11, gamma=0.85)
     pol = _random_softmax(mdp, rng, scale=0.5)
     n, horizon = 100_000, 4
-    states, actions, _ = envs.sample_trajectories_batch(mdp, pol.logits, horizon, n, rng)
+    trajs = [envs.sample_trajectory(mdp, pol, horizon, rng) for _ in range(n)]
+    states = np.array([traj.states for traj in trajs])
+    actions = np.array([traj.actions for traj in trajs])
     mu = oracles.exact_step_distributions(mdp, pol, horizon)
     pi = pol.probs_matrix()
     worst_ratio = 0.0
@@ -267,8 +269,10 @@ def check_estimator_unbiasedness(seed: int = 0, *, rng=None, n: int = 30_000) ->
     mdp = envs.random_mdp(5, 3, seed=7, gamma=0.9)
     pol = _random_softmax(mdp, rng, scale=0.8)
     horizon = 50
-    batch = envs.sample_trajectories_batch(mdp, pol.logits, horizon, n, rng)
-    grads = (estimators.truncated_grad(traj, pol, mdp.gamma) for traj in map(envs.Trajectory, *batch))
+    grads = (
+        estimators.truncated_grad(envs.sample_trajectory(mdp, pol, horizon, rng), pol, mdp.gamma)
+        for _ in range(n)
+    )
     z = _worst_z(grads, oracles.exact_truncated_gradient(mdp, pol, horizon))
     return _result(
         "estimators", "gradient_unbiasedness",
@@ -276,11 +280,11 @@ def check_estimator_unbiasedness(seed: int = 0, *, rng=None, n: int = 30_000) ->
     )
 
 
-def second_moment_ratio(mdp, pol, x, batch, consts) -> float:
-    """Worst of E||g||^2 / nu_g^2 and E||H x||^2 / nu_h^2 over a trajectory batch."""
-    n = len(batch[0])
+def second_moment_ratio(mdp, pol, x, trajs, consts) -> float:
+    """Worst of E||g||^2 / nu_g^2 and E||H x||^2 / nu_h^2 over a list of trajectories."""
+    n = len(trajs)
     g_sq = h_sq = 0.0
-    for traj in map(envs.Trajectory, *batch):
+    for traj in trajs:
         g = estimators.truncated_grad(traj, pol, mdp.gamma)
         hx = estimators.hessian_vector_product(traj, pol, mdp.gamma, x)
         g_sq += float(g @ g)
@@ -296,10 +300,10 @@ def check_estimator_variance_bounds(seed: int) -> CheckResult:
     worst = 0.0
     for _ in range(3):
         pol = _random_softmax(mdp, rng, scale=1.0)
-        batch = envs.sample_trajectories_batch(mdp, pol.logits, horizon, n, rng)
+        trajs = [envs.sample_trajectory(mdp, pol, horizon, rng) for _ in range(n)]
         x = rng.standard_normal(pol.dim)
         x /= np.linalg.norm(x)
-        worst = max(worst, second_moment_ratio(mdp, pol, x, batch, consts))
+        worst = max(worst, second_moment_ratio(mdp, pol, x, trajs, consts))
     return _result(
         "estimators", "variance_bounds",
         "E||g||^2 / nu_g^2 and E||Hx||^2 / nu_h^2, worst ratio", 1.0, worst,
@@ -318,13 +322,12 @@ def check_estimator_hessian_identity(
     theta_prev = theta_t - delta
     base = policies.TabularSoftmaxPolicy(mdp.n_states, mdp.n_actions, theta_t)
     q = rng.random(n)
-    logits = theta_prev[None, :] + q[:, None] * delta[None, :]
-    batch = envs.sample_trajectories_batch(
-        mdp, logits.reshape(n, mdp.n_states, mdp.n_actions), horizon, n, rng
-    )
+    policies_hat = (base.with_params(theta_prev + q_i * delta) for q_i in q)
     hvps = (
-        estimators.hessian_vector_product(traj, base.with_params(theta_hat), mdp.gamma, delta)
-        for theta_hat, traj in zip(logits, map(envs.Trajectory, *batch))
+        estimators.hessian_vector_product(
+            envs.sample_trajectory(mdp, pol_hat, horizon, rng), pol_hat, mdp.gamma, delta
+        )
+        for pol_hat in policies_hat
     )
     rhs = oracles.exact_truncated_gradient(mdp, base, horizon) - oracles.exact_truncated_gradient(
         mdp, base.with_params(theta_prev), horizon

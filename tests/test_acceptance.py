@@ -22,7 +22,7 @@ from npghm.algorithms import (
     run_npg_hm,
     run_vanilla_pg,
 )
-from npghm.envs import TabularMdp, bandit, chain, random_mdp, sample_trajectories_batch
+from npghm.envs import TabularMdp, bandit, chain, random_mdp, sample_trajectory
 from npghm.harness import build_train_spec, train_experiment
 from npghm.natural_gradient import SubproblemConfig, averaged_sgd_error_bound
 from npghm.oracles import compute_constants, exact_return, optimal_return
@@ -116,8 +116,8 @@ def test_04_estimator_second_moment_bounds():
         pol = TabularSoftmaxPolicy(5, 3, rng.standard_normal(15))
         x = rng.standard_normal(pol.dim)
         x /= np.linalg.norm(x)
-        batch = sample_trajectories_batch(mdp, pol.logits, horizon, n, rng)
-        worst = max(worst, second_moment_ratio(mdp, pol, x, batch, consts))
+        trajs = [sample_trajectory(mdp, pol, horizon, rng) for _ in range(n)]
+        worst = max(worst, second_moment_ratio(mdp, pol, x, trajs, consts))
     _verdict(
         worst <= 1.0,
         "04 estimator second-moment bounds",

@@ -19,8 +19,6 @@ from npghm.envs import (
     pointmass,
     random_mdp,
     sample_state_action,
-    sample_state_actions_batch,
-    sample_trajectories_batch,
     sample_trajectory,
 )
 from npghm.oracles import exact_state_action_visitation, exact_visitation
@@ -58,6 +56,18 @@ def method_walk(mdp, pol, horizon, rng):
         actions.append(a)
         rewards.append(r)
     return states, actions, rewards
+
+
+def method_state_action(mdp, pol, rng):
+    """Scalar visitation draw: h from the capped geometric (none at gamma = 0),
+    then method_walk for h steps and a final sample_action."""
+    h = 0
+    while mdp.gamma > 0.0:
+        h = int(rng.geometric(1.0 - mdp.gamma)) - 1
+        if h <= geometric_cap(mdp.gamma):
+            break
+    states, _, _ = method_walk(mdp, pol, h, rng)
+    return states[-1], pol.sample_action(states[-1], rng)
 
 
 def numpy_walk(mdp, pol, horizon, rng):
@@ -183,7 +193,8 @@ class TestSampling:
         mdp = chain(4)
         pol = uniform_policy(mdp)
         rng = substream(0, "evaluation")
-        states, actions = sample_state_actions_batch(mdp, pol.theta.reshape(4, 2), 200_000, rng)
+        draws = np.array([sample_state_action(mdp, pol, rng) for _ in range(200_000)])
+        states, actions = draws[:, 0], draws[:, 1]
         empirical = np.bincount(states, minlength=mdp.n_states) / states.size
         exact = exact_visitation(mdp, pol.probs_matrix())
         assert np.abs(empirical - exact).max() < 0.01
@@ -199,26 +210,17 @@ class TestSampling:
         assert geometric_cap(0.5) == 20
 
     def test_gamma_zero_draws_initial_state(self):
-        mdp = bandit([0.5, 0.5], gamma=0.0)
-        pol = uniform_policy(mdp)
-        rng = substream(1, "trajectory")
-        for _ in range(20):
-            s, a = sample_state_action(mdp, pol, rng)
-            assert s == 0 and a in (0, 1)
-
-    def test_batch_sampler_matches_scalar_law(self):
-        # same marginal mean reward from the batched and scalar samplers
-        mdp = chain(3)
-        pol = uniform_policy(mdp)
-        rng = substream(5, "trajectory")
-        states, actions, rewards = sample_trajectories_batch(
-            mdp, pol.theta.reshape(3, 2), horizon=6, n_traj=40_000, rng=rng
-        )
-        assert states.shape == (40_000, 7)
-        mean_batch = rewards.mean()
-        rng2 = substream(6, "trajectory")
-        scalar = [sample_trajectory(mdp, pol, 6, rng2).rewards.mean() for _ in range(4000)]
-        assert abs(mean_batch - np.mean(scalar)) < 0.01
+        # no geometric draw at gamma = 0: each pair takes exactly two
+        # uniforms, and a uniform equal to a cumulative value goes right
+        mdp = bandit([0.2, -0.6, 0.9], gamma=0.0)
+        pol = TabularSoftmaxPolicy(1, 3, np.array([-800.0, 1.5, 0.0]))
+        cum = np.cumsum(pol.probs_matrix()[0]).tolist()
+        u = [x for c in [0.0, *cum, 0.5] for x in (c, c)]
+        fast, slow = ReplayUniforms(u), ReplayUniforms(u)
+        for _ in range(len(u) // 2):
+            s, a = sample_state_action(mdp, pol, fast)
+            assert s == 0 and a in (1, 2)
+            assert (s, a) == method_state_action(mdp, pol, slow)
 
     @pytest.mark.parametrize(
         "mdp, theta",
@@ -236,6 +238,8 @@ class TestSampling:
         ids=["chain4-uniform", "random5x3-saturated", "bandit3", "chain4-right"],
     )
     def test_batch_sampler_reproduces_scalar_rollout_row_for_row(self, mdp, theta):
+        # each row of preset uniforms drives sample_trajectory, method_walk
+        # and numpy_walk to the same rollout
         pol = TabularSoftmaxPolicy(mdp.n_states, mdp.n_actions, theta)
         horizon, n = 7, 64
         u = substream(8, "trajectory").random((n, 2 * horizon + 1))
@@ -243,25 +247,29 @@ class TestSampling:
         u[0, :] = 0.5
         u[1, 1::2] = np.cumsum(pol.probs_matrix(), axis=1)[0, 0]
         u[2, :] = 0.0
-        states, actions, rewards = sample_trajectories_batch(
-            mdp, pol.logits, horizon, n, uniforms=(u[:, 0], u[:, 1::2], u[:, 2::2])
-        )
-        for i in range(n):
-            row = (states[i].tolist(), actions[i].tolist(), rewards[i].tolist())
-            traj = sample_trajectory(mdp, pol, horizon, ReplayUniforms(u[i]))
-            assert (traj.states.tolist(), traj.actions.tolist(), traj.rewards.tolist()) == row
-            assert method_walk(mdp, pol, horizon, ReplayUniforms(u[i])) == row
-            assert numpy_walk(mdp, pol, horizon, ReplayUniforms(u[i])) == row
+        for row in u:
+            traj = sample_trajectory(mdp, pol, horizon, ReplayUniforms(row))
+            fast = (traj.states.tolist(), traj.actions.tolist(), traj.rewards.tolist())
+            assert fast == method_walk(mdp, pol, horizon, ReplayUniforms(row))
+            assert fast == numpy_walk(mdp, pol, horizon, ReplayUniforms(row))
 
-    def test_batch_sampler_per_chain_logits(self):
-        mdp = chain(3)
-        n = 500
-        logits = np.zeros((n, 3, 2))
-        logits[: n // 2, :, 1] = 50.0  # first half: always-right policies
-        rng = substream(7, "trajectory")
-        states, actions, _ = sample_trajectories_batch(mdp, logits, horizon=4, n_traj=n, rng=rng)
-        assert (actions[: n // 2] == 1).all()
-        assert states[: n // 2, -1].max() == 2
+    @pytest.mark.parametrize(
+        "mdp, n",
+        [
+            (chain(5, gamma=0.99), 2000),
+            (random_mdp(40, 5, seed=1, gamma=0.99), 2000),
+            (random_mdp(4, 3, seed=3, gamma=0.99), 2000),
+            (bandit([0.2, -0.6, 0.9], gamma=0.0), 5000),
+        ],
+        ids=["chain5", "random40x5", "random4x3", "bandit3-gamma0"],
+    )
+    def test_state_action_draw_matches_method_calls(self, mdp, n):
+        theta = np.random.default_rng(4).standard_normal(mdp.n_states * mdp.n_actions)
+        pol = TabularSoftmaxPolicy(mdp.n_states, mdp.n_actions, theta)
+        rngs = [substream(9, "subproblem") for _ in range(2)]
+        fast = [sample_state_action(mdp, pol, rngs[0]) for _ in range(n)]
+        assert fast == [method_state_action(mdp, pol, rngs[1]) for _ in range(n)]
+        assert rngs[0].random() == rngs[1].random()
 
 
 class TestPointMass:
