@@ -13,6 +13,15 @@ no draw at gamma = 0), then takes 2h+2 uniforms in one rng.random call:
 the rollout's 2h+1, then one for the returned action. Every inverse-CDF
 draw picks the first index whose cumulative probability exceeds u
 (searchsorted side="right"), clamped to the last index.
+
+A pointmass rollout of horizon H under the truncated linear-Gaussian policy
+takes 2H standard normals in one rng.standard_normal call, one (action,
+noise) pair per step, plus one more scalar draw after the block for each
+action normal rejected with |z| > trunc_c. A pointmass sample_state_action
+draws h as above, then takes 2h+1 normals in one call (the rollout's 2h and
+one for the returned action), plus one per rejection. The block and the
+scalar draws read the stream in the order the per-step sample_action and
+step calls would, so the values and the next draw are the same.
 """
 from __future__ import annotations
 
@@ -22,6 +31,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+from .policies import is_pointmass_gaussian
 
 _ATOL = 1e-12
 
@@ -185,18 +196,13 @@ def sample_trajectory(env, policy, horizon: int, rng: np.random.Generator) -> Tr
         raise ValueError("horizon must be nonnegative")
     if isinstance(env, TabularMdp):
         return _sample_tabular(env, policy, horizon, rng)
-    states = np.empty(horizon + 1, dtype=float)
-    actions = np.empty(horizon, dtype=float)
-    rewards = np.empty(horizon, dtype=float)
-    s = env.initial_state(rng)
-    states[0] = s
-    for h in range(horizon):
-        a = policy.sample_action(s, rng)
-        s, r = env.step(s, a, rng)
-        actions[h] = a
-        rewards[h] = r
-        states[h + 1] = s
-    return Trajectory(states=states, actions=actions, rewards=rewards)
+    _check_pointmass_pair(env, policy)
+    states, actions, rewards = _gaussian_walk(env, policy, horizon, False, rng)
+    return Trajectory(
+        states=np.array(states, dtype=float),
+        actions=np.array(actions, dtype=float),
+        rewards=np.array(rewards, dtype=float),
+    )
 
 
 def _sample_tabular(mdp: TabularMdp, policy, horizon: int, rng) -> Trajectory:
@@ -247,8 +253,13 @@ def sample_state_action(env, policy, rng: np.random.Generator):
     h ~ Geom(1-gamma) (so P(h=k) = (1-gamma) gamma^k), the policy is rolled
     h steps, and (s_h, a_h) with a_h ~ pi(.|s_h) is returned. Draws of h
     above geometric_cap(gamma) are redrawn. On a tabular MDP the rollout
-    and the final action take their 2h+2 uniforms in one rng.random call.
+    and the final action take their 2h+2 uniforms in one rng.random call;
+    on a PointMassEnv they take 2h+1 normals in one rng.standard_normal call
+    (plus one per rejected action normal).
     """
+    tabular = isinstance(env, TabularMdp)
+    if not tabular:
+        _check_pointmass_pair(env, policy)
     gamma = env.gamma
     if gamma == 0.0:
         h = 0
@@ -257,16 +268,87 @@ def sample_state_action(env, policy, rng: np.random.Generator):
         h = int(rng.geometric(1.0 - gamma)) - 1
         while h > cap:
             h = int(rng.geometric(1.0 - gamma)) - 1
-    if isinstance(env, TabularMdp):
+    if tabular:
         u = rng.random(2 * h + 2).tolist()
         s = _walk(env, policy, u)[0][-1]
         a = bisect.bisect_right(policy._cum_probs()[s], u[-1])
         return s, min(a, policy.n_actions - 1)
-    s = env.initial_state(rng)
-    for _ in range(h):
-        a = policy.sample_action(s, rng)
-        s, _ = env.step(s, a, rng)
-    return s, policy.sample_action(s, rng)
+    states, actions, _ = _gaussian_walk(env, policy, h, True, rng)
+    return states[-1], actions[-1]
+
+
+def _check_pointmass_pair(env, policy) -> None:
+    if not (isinstance(env, PointMassEnv) and is_pointmass_gaussian(policy)):
+        raise TypeError(
+            f"no sampler for {type(env).__name__} with {type(policy).__name__}; "
+            "use a TabularMdp with a softmax policy, or a PointMassEnv with a "
+            "linear-Gaussian policy on PointMassFeatures"
+        )
+
+
+def _gaussian_walk(env: PointMassEnv, policy, horizon: int, last_action: bool, rng):
+    """Plain-float rollout of the truncated linear-Gaussian policy on a
+    PointMassEnv, with the draws of the Draw contract.
+
+    Runs `horizon` steps from init_state; with last_action, one more action
+    is drawn at the final state and appended to the actions. Each value
+    equals what initial_state, then sample_action and step per step return:
+    the mean is TruncatedLinearGaussianPolicy.mean's float formula and the
+    clips are those of min(max(x, lo), hi). Returns the visited states,
+    actions and rewards as lists.
+    """
+    t0, t1 = policy.theta.tolist()
+    sigma, c = policy.sigma, policy.trunc_c
+    root2 = math.sqrt(2.0)
+    feat_r = policy.features.state_radius
+    mean1 = t1 * (1.0 / root2)
+    a_dyn, b_dyn, noise = env.a_dyn, env.b_dyn, env.noise_std
+    q_s, q_a, scale = env.q_s, env.q_a, env.reward_scale
+    env_r = float(env.state_radius)
+    n_actions = horizon + 1 if last_action else horizon
+    z = rng.standard_normal(horizon + n_actions).tolist()
+    draw_more = rng.standard_normal
+    i = 0
+    s = float(env.init_state)
+    states = [s]
+    actions = []
+    rewards = []
+    # Each clip min(max(x, lo), hi) is spelled as the two comparisons that
+    # max and min make, in their order (lo > x, then hi < x), so NaN and
+    # signed zero clip exactly as with the builtins, at a fraction of the cost.
+    for k in range(n_actions):
+        x = s
+        if -feat_r > x:
+            x = -feat_r
+        if feat_r < x:
+            x = feat_r
+        mu = t0 * ((x / feat_r) / root2) + mean1
+        g = z[i]
+        i += 1
+        while abs(g) > c:
+            # a rejection consumes one normal more than the block holds: the
+            # next one in the stream goes at the end, so z stays its prefix
+            z.append(draw_more())
+            g = z[i]
+            i += 1
+        a = mu + sigma * g
+        actions.append(a)
+        if k == horizon:
+            break
+        r = -(q_s * s * s + q_a * a * a) * scale
+        if -1.0 > r:
+            r = -1.0
+        if 1.0 < r:
+            r = 1.0
+        rewards.append(r)
+        s = a_dyn * s + b_dyn * a + noise * z[i]
+        i += 1
+        if -env_r > s:
+            s = -env_r
+        if env_r < s:
+            s = env_r
+        states.append(s)
+    return states, actions, rewards
 
 
 # ---------------------------------------------------------------------------

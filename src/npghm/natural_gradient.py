@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .oracles import pinv_solve
-from .policies import Policy
+from .policies import Policy, is_pointmass_gaussian
 
 Sampler = Callable[[], tuple]
 
@@ -78,6 +78,8 @@ def npg_sgd(
     u = np.asarray(u, dtype=float)
     eta = resolve_eta(cfg, policy)
     w = np.zeros_like(u) if w0 is None else np.array(w0, dtype=float)
+    if is_pointmass_gaussian(policy):
+        return _npg_sgd_pointmass(sampler, policy, u, eta, cfg.n_iters, w)
     acc = w.copy()
     for _ in range(cfg.n_iters):
         s, a = sampler()
@@ -85,6 +87,32 @@ def npg_sgd(
         w = w - eta * (np.dot(w, x) * x - u)
         acc += w
     return acc / (cfg.n_iters + 1)
+
+
+def _npg_sgd_pointmass(sampler, policy, u, eta: float, n_iters: int, w) -> np.ndarray:
+    """npg_sgd's recursion on Python floats for the 2-parameter pointmass
+    policy. The score is policy.score's value, (a - mean)/sigma^2 phi(s),
+    with the mean's float formula; w . x is two roundings where np.dot on
+    the arrays fuses them, so the result agrees to rounding, not bitwise."""
+    u0, u1 = u.tolist()
+    w0, w1 = w.tolist()
+    acc0, acc1 = w0, w1
+    t0, t1 = policy.theta.tolist()
+    r, root2 = policy.features.state_radius, math.sqrt(2.0)
+    phi1 = 1.0 / root2
+    mean1 = t1 * phi1
+    var = policy.sigma**2
+    for _ in range(n_iters):
+        s, a = sampler()
+        phi0 = (min(max(float(s), -r), r) / r) / root2
+        coef = (float(a) - (t0 * phi0 + mean1)) / var
+        x0, x1 = coef * phi0, coef * phi1
+        dot = w0 * x0 + w1 * x1
+        w0 = w0 - eta * (dot * x0 - u0)
+        w1 = w1 - eta * (dot * x1 - u1)
+        acc0 += w0
+        acc1 += w1
+    return np.array([acc0, acc1]) / (n_iters + 1)
 
 
 def adam_subsolver(

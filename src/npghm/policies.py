@@ -241,7 +241,17 @@ class TruncatedLinearGaussianPolicy(Policy):
         return replace(self, theta=np.asarray(theta, dtype=float))
 
     def mean(self, s) -> float:
-        return float(np.dot(self.theta, self.features(s)))
+        """theta . phi(s). On PointMassFeatures it is written on floats,
+        theta0 (clip(s)/R)/sqrt(2) + theta1 (1/sqrt(2)), the formula the
+        pointmass walk in envs and npg_sgd inline; np.dot would fuse the
+        multiply-add and round differently."""
+        f = self.features
+        if isinstance(f, PointMassFeatures):
+            t0, t1 = self.theta.tolist()
+            r, root2 = f.state_radius, math.sqrt(2.0)
+            x = min(max(float(s), -r), r)
+            return t0 * ((x / r) / root2) + t1 * (1.0 / root2)
+        return float(np.dot(self.theta, f(s)))
 
     def log_prob(self, s, a) -> float:
         z = (float(a) - self.mean(s)) / self.sigma
@@ -279,6 +289,14 @@ class TruncatedLinearGaussianPolicy(Policy):
         phi = self.features.batch(states)
         proj = phi @ (np.asarray(x, dtype=float) / self.sigma**2)
         return -(np.asarray(weights, dtype=float) * proj) @ phi
+
+
+def is_pointmass_gaussian(policy) -> bool:
+    """True for the truncated linear-Gaussian policy on PointMassFeatures,
+    whose draws and SGD solve run on Python floats."""
+    return isinstance(policy, TruncatedLinearGaussianPolicy) and isinstance(
+        policy.features, PointMassFeatures
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,12 @@ from npghm.envs import (
     sample_trajectory,
 )
 from npghm.oracles import exact_state_action_visitation, exact_visitation
-from npghm.policies import PointMassFeatures, TabularSoftmaxPolicy
+from npghm.policies import (
+    ArrayFeatures,
+    PointMassFeatures,
+    TabularSoftmaxPolicy,
+    TruncatedLinearGaussianPolicy,
+)
 from npghm.seeding import substream
 
 
@@ -43,6 +48,33 @@ class ReplayUniforms:
         assert len(out) == n, "ran out of preset uniforms"
         self._i += n
         return out[0] if size is None else np.array(out)
+
+
+class ReplayNormals:
+    """Generator stand-in whose standard_normal() hands out preset normals
+    in order and whose geometric() hands out preset values in order."""
+
+    def __init__(self, normals, geometrics=()):
+        self._z = [float(x) for x in normals]
+        self._g = list(geometrics)
+        self.used = 0
+
+    def standard_normal(self, size=None):
+        n = 1 if size is None else size
+        out = self._z[self.used : self.used + n]
+        assert len(out) == n, "ran out of preset normals"
+        self.used += n
+        return out[0] if size is None else np.array(out)
+
+    def geometric(self, p):
+        return self._g.pop(0)
+
+
+def gaussian(env, theta, sigma=0.5, trunc_c=3.0, radius=None):
+    """Truncated linear-Gaussian policy on PointMassFeatures (the env's clip
+    radius unless `radius` is given)."""
+    feats = PointMassFeatures(env.state_radius if radius is None else radius)
+    return TruncatedLinearGaussianPolicy(feats, np.array(theta, dtype=float), sigma, trunc_c)
 
 
 def method_walk(mdp, pol, horizon, rng):
@@ -254,24 +286,60 @@ class TestSampling:
             assert fast == numpy_walk(mdp, pol, horizon, ReplayUniforms(row))
 
     @pytest.mark.parametrize(
-        "mdp, n",
+        "env, pol, n",
         [
-            (chain(5, gamma=0.99), 2000),
-            (random_mdp(40, 5, seed=1, gamma=0.99), 2000),
-            (random_mdp(4, 3, seed=3, gamma=0.99), 2000),
-            (bandit([0.2, -0.6, 0.9], gamma=0.0), 5000),
+            (chain(5, gamma=0.99), None, 2000),
+            (random_mdp(40, 5, seed=1, gamma=0.99), None, 2000),
+            (random_mdp(4, 3, seed=3, gamma=0.99), None, 2000),
+            (bandit([0.2, -0.6, 0.9], gamma=0.0), None, 5000),
+            (pointmass(), gaussian(pointmass(), [-1.3, 0.4]), 2000),
+            # about 3 in 4 action normals are rejected
+            (pointmass(), gaussian(pointmass(), [0.7, -0.2], trunc_c=0.3), 1000),
+            (pointmass(gamma=0.99), gaussian(pointmass(), [2.5, 1.0], trunc_c=math.inf), 500),
+            # states beyond the features' clip radius, starting on it
+            (pointmass(init_state=1.3, state_radius=1.7), gaussian(pointmass(), [-4.0, 3.0], 0.8, radius=1.3), 2000),
+            (pointmass(gamma=0.0), gaussian(pointmass(), [1.0, -1.0]), 2000),
         ],
-        ids=["chain5", "random40x5", "random4x3", "bandit3-gamma0"],
+        ids=["chain5", "random40x5", "random4x3", "bandit3-gamma0", "pointmass",
+             "pointmass-c0.3", "pointmass-c-inf", "pointmass-r1.3", "pointmass-gamma0"],
     )
-    def test_state_action_draw_matches_method_calls(self, mdp, n):
-        theta = np.random.default_rng(4).standard_normal(mdp.n_states * mdp.n_actions)
-        pol = TabularSoftmaxPolicy(mdp.n_states, mdp.n_actions, theta)
+    def test_state_action_draw_matches_method_calls(self, env, pol, n):
+        if pol is None:
+            theta = np.random.default_rng(4).standard_normal(env.n_states * env.n_actions)
+            pol = TabularSoftmaxPolicy(env.n_states, env.n_actions, theta)
         rngs = [substream(9, "subproblem") for _ in range(2)]
-        fast = [sample_state_action(mdp, pol, rngs[0]) for _ in range(n)]
-        assert fast == [method_state_action(mdp, pol, rngs[1]) for _ in range(n)]
+        fast = [sample_state_action(env, pol, rngs[0]) for _ in range(n)]
+        assert fast == [method_state_action(env, pol, rngs[1]) for _ in range(n)]
         assert rngs[0].random() == rngs[1].random()
 
-
+    @pytest.mark.parametrize("trunc_c", [0.5, 3.0, math.inf])
+    @pytest.mark.parametrize("init_state", [0.0, 1.5, 2.0, -2.0])
+    def test_pointmass_draws_match_method_calls_under_replayed_normals(self, trunc_c, init_state):
+        # action normals beyond trunc_c force rejections; the large ones
+        # drive the state past the env's clip radius, where it stays
+        env = pointmass(init_state=init_state, noise_std=0.5)
+        pol = gaussian(env, [1.1, 0.6], trunc_c=trunc_c, radius=1.3)
+        z = substream(8, "trajectory").standard_normal(400) * 2.0
+        z[::7] = 9.0
+        z[3::11] = -6.0
+        horizon = 9
+        states, rejected = set(), 0
+        for start in range(0, 200, 5):
+            fast, slow = ReplayNormals(z[start:]), ReplayNormals(z[start:])
+            traj = sample_trajectory(env, pol, horizon, fast)
+            got = (traj.states.tolist(), traj.actions.tolist(), traj.rewards.tolist())
+            assert got == method_walk(env, pol, horizon, slow)
+            assert fast.used == slow.used >= 2 * horizon
+            states.update(abs(x) for x in got[0])
+            rejected += fast.used - 2 * horizon
+            hs = [start % 4 + 1, 1, 3]
+            fast, slow = ReplayNormals(z[start:], hs), ReplayNormals(z[start:], hs)
+            for _ in hs:
+                assert sample_state_action(env, pol, fast) == method_state_action(env, pol, slow)
+            assert fast.used == slow.used
+        assert env.state_radius in states  # clipped by the env
+        assert any(1.3 < x < env.state_radius for x in states)  # clipped by the features only
+        assert (rejected > 0) == (trunc_c < math.inf)
 class TestPointMass:
     def test_reward_is_negative_quadratic_scaled(self):
         env = pointmass()
@@ -305,6 +373,24 @@ class TestPointMass:
             phi = feats(s)
             assert same(phi[0], float(np.clip(s, -rad, rad)) / rad / math.sqrt(2.0))
             assert phi[1] == 1.0 / math.sqrt(2.0)
+        # the float walk clips as step and the features do, from the same states
+        for s0 in (math.nan, -0.0, 0.0, rad, -rad):
+            walk_env = PointMassEnv(noise_std=0.0, init_state=s0)
+            for theta in ([-0.0, -0.0], [0.0, 0.0], [1.0, -0.0]):
+                pol = gaussian(walk_env, theta, trunc_c=math.inf)
+                traj = sample_trajectory(walk_env, pol, 3, ReplayNormals([-0.0] * 6))
+                got = traj.states.tolist() + traj.actions.tolist() + traj.rewards.tolist()
+                want = sum(method_walk(walk_env, pol, 3, ReplayNormals([-0.0] * 6)), [])
+                assert len(got) == len(want) and all(map(same, got, want))
+
+    def test_samplers_reject_other_policies(self):
+        pol = TruncatedLinearGaussianPolicy(ArrayFeatures(dim=1, r_phi=1.0), np.zeros(1))
+        rng = substream(0, "trajectory")
+        with pytest.raises(TypeError, match="no sampler"):
+            sample_trajectory(pointmass(), pol, 3, rng)
+        with pytest.raises(TypeError, match="no sampler"):
+            sample_state_action(pointmass(), pol, rng)
+        assert rng.random() == substream(0, "trajectory").random()  # no draw
 
     def test_rejects_invalid_parameters(self):
         with pytest.raises(ValueError):

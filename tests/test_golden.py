@@ -136,23 +136,23 @@ DIGESTS = {
         'summary.json': '2eddfcc20596b735b5a0a5f8d364b5ded704a02acbb17e55654f45a174f0a117',
     },
     'pointmass-sgd': {
-        'harpg_seed0.csv': 'b5a3e3216e13af34d08c35877bc15f747ccadc1ead9768a6e6fdc5bf0a29b0d0',
-        'harpg_seed0.policy': '80d6c7a8235df503cd2a2ab989080752efa8ea7e50e8851bdf13a84b141dac8c',
+        'harpg_seed0.csv': '6f52a34e7c69a7271110a71874bec9d7b31154f107df6648bc47822818e5a19b',
+        'harpg_seed0.policy': 'd9231878985cdfcaf35881c536b11975d9465472d01457d446bd9994831fb83a',
         'harpg_seed1.csv': '4b711370efaa81aa5d0932b18a8c8b59fd82d9db865d0be2de8b5781dfdfa808',
         'harpg_seed1.policy': 'cea49169ed1da53073cc6d01a0057ac0b970482c6b47d0f2e2a794f51634c821',
-        'mnpg_seed0.csv': '626dadd4cb2962e840984983fef91d83faff13845ce566f964df42b234e43d2b',
+        'mnpg_seed0.csv': '621d8278b3f715eb2026ddf58a891009ade6ef1fa96196d85395bc6dad868bef',
         'mnpg_seed0.policy': '4046850e4ca03a69e379cf8c584567d6e6849b1f8a40652bd551d7eb224677d0',
-        'mnpg_seed1.csv': 'e8e4c12d9dd2c688fa4d145c7b967defeaaa42ded49a28fb94472992f03853e2',
-        'mnpg_seed1.policy': '0a4f9a82f1e50a71aae5e0d88c96841ec2e85c633a776e587b4d32d680fca66a',
-        'npg-hm_seed0.csv': 'a0fb33dc3745db5d1a3c9665ae9820887154cf0e6af1ab61bdcaca46912ebc8e',
-        'npg-hm_seed0.policy': 'd60fbdb93d2716a0416073ed41c57e93133ce017258eedd29f1d6a72c9976f01',
-        'npg-hm_seed1.csv': '65c77d195d4ffce1e0e18046f38ad3103cc358efeb7c438da357a450a22b24c9',
+        'mnpg_seed1.csv': 'ec1f1fe0ba4e9063386dd62a879af373b34d2fee377049e7c2ee6827bf0e000f',
+        'mnpg_seed1.policy': '9562f2e78a03eb2f10b0ac1b25486dfd82fdb3bca3d2e156dc64c3dcd4906ed8',
+        'npg-hm_seed0.csv': '2c14507854ee2e758da7d8a40757c021aa72b9842a371879a31083ef7af2c085',
+        'npg-hm_seed0.policy': 'c33fa087183a3fd0e498c308eaa286388fdc16ec1b53251c14875f5fa75dae5d',
+        'npg-hm_seed1.csv': 'fb8870aa46a3bbe6e13a3efc3027e11ff69ada5b6ba9628b383464c3918192c1',
         'npg-hm_seed1.policy': '2c94245395faff743c0cfe447bfa3602980ad8f0393c38507cf3342445310fad',
-        'pg_seed0.csv': '1859e9a26429a95622d48d14c92f08709fc5f9b830fa0ba3b68d700b651302f8',
+        'pg_seed0.csv': '5f2803dd57e612ee2f2ccbf58aeeb3b8d38ea327f2b9ba8ec46cb9e8324d668a',
         'pg_seed0.policy': '8fa720ca9e7f99b0fc252d265e3bbd4d40219593c93ba606346744c3a8e7c9a8',
-        'pg_seed1.csv': 'ead88a3879f9bb6fa7a7839bf7ef6acf5f027fc0b03ed2c69bb11d9aff7b399e',
-        'pg_seed1.policy': '7f7f32cd6280c51668da7b599dc8455ec231857ec0031f03ad31c8c5418bac5b',
-        'summary.json': 'f496d2af8f6fdd665743ccb2f0f9fca291e76aed6a44283d4a4a5c774e14697f',
+        'pg_seed1.csv': '261dd7df068de76040c2bb00cced4c8b364eda6038c34d6326abe28c3e395d6a',
+        'pg_seed1.policy': '245a2762577adc6d4dbafecebfd0347fa539b6e56817ffee7bea1d881731c05f',
+        'summary.json': 'd4e70cbb2eeaee529c3c9595bad75aba63009acb7a62f4d3a08c08927b007995',
     },
     'random40x5-exact': {
         'harpg_seed0.csv': '8deb73c909261c4a9d86be7141674bb999ac07b066ba493d5f6194dcf4978c76',

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from npghm.algorithms import RunConfig, run_npg_hm
+from npghm.envs import pointmass, sample_state_action
 from npghm.natural_gradient import (
     SubproblemConfig,
     TableScorePolicy,
@@ -14,7 +16,9 @@ from npghm.natural_gradient import (
     exact_npg_direction,
     npg_sgd,
     recommended_subproblem_iters,
+    resolve_eta,
 )
+from npghm.policies import PointMassFeatures, TruncatedLinearGaussianPolicy
 from npghm.seeding import substream
 
 
@@ -143,6 +147,60 @@ class TestNpgSgd:
         assert np.allclose(got, expected, atol=1e-15)
 
 
+def numpy_npg_sgd(sampler, policy, u, cfg, w0=None):
+    """npg_sgd's recursion on numpy arrays, w . x by np.dot: what it runs
+    for every policy but the pointmass Gaussian."""
+    u = np.asarray(u, dtype=float)
+    eta = resolve_eta(cfg, policy)
+    w = np.zeros_like(u) if w0 is None else np.array(w0, dtype=float)
+    acc = w.copy()
+    for _ in range(cfg.n_iters):
+        s, a = sampler()
+        x = policy.score(s, a)
+        w = w - eta * (np.dot(w, x) * x - u)
+        acc += w
+    return acc / (cfg.n_iters + 1)
+
+
+class TestNpgSgdPointMass:
+    env = pointmass()
+
+    def policy(self, rng, trunc_c=3.0):
+        feats = PointMassFeatures(self.env.state_radius)
+        theta = 2.0 * rng.standard_normal(2)
+        return TruncatedLinearGaussianPolicy(feats, theta, sigma=rng.uniform(0.3, 1.0), trunc_c=trunc_c)
+
+    def test_float_recursion_matches_numpy_recursion(self):
+        worst = 0.0
+        for seed in range(240):
+            rng = np.random.default_rng(seed)
+            trunc_c = (3.0, 1.0, math.inf)[seed % 3]
+            pol = self.policy(rng, trunc_c)
+            u = rng.standard_normal(2)
+            # half the solves are warm-started; trunc_c = inf needs an explicit step
+            w0 = rng.standard_normal(2) if seed % 2 else None
+            cfg = SubproblemConfig(n_iters=100, eta="auto" if trunc_c < math.inf else 0.05)
+            streams = [substream(seed, "subproblem") for _ in range(2)]
+            got = npg_sgd(lambda: sample_state_action(self.env, pol, streams[0]), pol, u, cfg, w0)
+            want = numpy_npg_sgd(lambda: sample_state_action(self.env, pol, streams[1]), pol, u, cfg, w0)
+            assert got.shape == (2,) and got.dtype == np.float64
+            worst = max(worst, float(np.linalg.norm(got - want) / np.linalg.norm(want)))
+            assert streams[0].random() == streams[1].random()
+        assert worst <= 1e-15
+
+    def test_zero_iterations_return_the_start(self):
+        pol = self.policy(np.random.default_rng(1))
+        cfg = SubproblemConfig(n_iters=0)
+        u = np.array([0.4, -1.2])
+        for w0 in (None, np.array([0.3, -2.5])):
+            rng = substream(2, "subproblem")
+            sampler = lambda: sample_state_action(self.env, pol, rng)
+            got = npg_sgd(sampler, pol, u, cfg, w0)
+            assert np.array_equal(got, numpy_npg_sgd(sampler, pol, u, cfg, w0))
+            assert np.array_equal(got, np.zeros(2) if w0 is None else w0)
+        assert rng.random() == substream(2, "subproblem").random()  # no draw
+
+
 class TestAdam:
     def test_roughly_solves(self):
         pol = anisotropic_policy()
@@ -153,6 +211,18 @@ class TestAdam:
         w = adam_subsolver(pol.make_sampler(substream(10, "subproblem")), pol, u, cfg)
         rel = np.linalg.norm(w - w_hat) / np.linalg.norm(w_hat)
         assert rel < 0.15
+
+    def test_trains_on_pointmass(self):
+        # the feedback weight moves toward the regulator's negative gain and
+        # the Monte Carlo return rises
+        env = pointmass()
+        pol = TruncatedLinearGaussianPolicy(PointMassFeatures(env.state_radius), np.zeros(2))
+        cfg = RunConfig(big_t=60, alpha0=0.05, tau0=20.0, seed=1, eval_interval=1, eval_trajectories=100,
+                        subproblem=SubproblemConfig(kind="adam", n_iters=30, adam_lr=0.05))
+        res = run_npg_hm(env, pol, cfg)
+        j = [r.j_hat for r in res.records if r.j_hat is not None]
+        assert res.theta[0] < -0.5
+        assert j[-1] > j[0] + 0.3
 
 
 class TestExactDirection:

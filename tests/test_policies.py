@@ -136,6 +136,20 @@ class TestTruncatedGaussian:
         feats = pol.features
         s = 1.2
         assert pol.mean(s) == pytest.approx(float(np.dot([0.5, -0.25], feats(s))))
+        # on PointMassFeatures the mean is the plain-float sum, two roundings,
+        # which np.dot's fused multiply-add can miss by an ulp
+        rng = np.random.default_rng(3)
+        for theta in rng.standard_normal((200, 2)) * 3.0:
+            pol = gaussian_policy(theta=theta)
+            for s in (*(rng.standard_normal(5) * 2.0), 2.0, -2.0, 7.5, -0.0):
+                phi0, phi1 = pol.features(s).tolist()
+                mu = pol.mean(s)
+                assert mu == theta[0] * phi0 + theta[1] * phi1
+                assert abs(mu - float(np.dot(theta, pol.features(s)))) <= 2 * math.ulp(abs(mu) + 1.0)
+        # other feature maps keep np.dot
+        arr = TruncatedLinearGaussianPolicy(ArrayFeatures(dim=3, r_phi=2.0), np.array([0.3, -1.1, 0.7]))
+        x = np.array([0.25, 1.5, -0.6])
+        assert arr.mean(x) == float(np.dot(arr.theta, x))
 
     def test_log_prob_normalizes(self):
         # integrate exp(log_prob) over the support
