@@ -93,7 +93,8 @@ def _npg_sgd_pointmass(sampler, policy, u, eta: float, n_iters: int, w) -> np.nd
     """npg_sgd's recursion on Python floats for the 2-parameter pointmass
     policy. The score is policy.score's value, (a - mean)/sigma^2 phi(s),
     with the mean's float formula; w . x is two roundings where np.dot on
-    the arrays fuses them, so the result agrees to rounding, not bitwise."""
+    the arrays can fuse them, so the result agrees with the array recursion
+    to rounding, not bitwise."""
     u0, u1 = u.tolist()
     w0, w1 = w.tolist()
     acc0, acc1 = w0, w1

@@ -243,8 +243,8 @@ class TruncatedLinearGaussianPolicy(Policy):
     def mean(self, s) -> float:
         """theta . phi(s). On PointMassFeatures it is written on floats,
         theta0 (clip(s)/R)/sqrt(2) + theta1 (1/sqrt(2)), the formula the
-        pointmass walk in envs and npg_sgd inline; np.dot would fuse the
-        multiply-add and round differently."""
+        pointmass walk in envs and npg_sgd inline (np.dot can fuse the
+        multiply-add, as AVX-512 OpenBLAS does, and round differently)."""
         f = self.features
         if isinstance(f, PointMassFeatures):
             t0, t1 = self.theta.tolist()

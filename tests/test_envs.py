@@ -316,7 +316,7 @@ class TestSampling:
     @pytest.mark.parametrize("init_state", [0.0, 1.5, 2.0, -2.0])
     def test_pointmass_draws_match_method_calls_under_replayed_normals(self, trunc_c, init_state):
         # action normals beyond trunc_c force rejections; the large ones
-        # drive the state past the env's clip radius, where it stays
+        # push the state onto the env's clip radius and past the features' one
         env = pointmass(init_state=init_state, noise_std=0.5)
         pol = gaussian(env, [1.1, 0.6], trunc_c=trunc_c, radius=1.3)
         z = substream(8, "trajectory").standard_normal(400) * 2.0
@@ -340,6 +340,8 @@ class TestSampling:
         assert env.state_radius in states  # clipped by the env
         assert any(1.3 < x < env.state_radius for x in states)  # clipped by the features only
         assert (rejected > 0) == (trunc_c < math.inf)
+
+
 class TestPointMass:
     def test_reward_is_negative_quadratic_scaled(self):
         env = pointmass()
