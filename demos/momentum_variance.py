@@ -7,7 +7,7 @@ its error shrinks well below a single draw's error.
 """
 import numpy as np
 
-from npghm.algorithms import RunConfig, run_npg_hm
+from npghm.algorithms import RunConfig, train
 from npghm.envs import random_mdp
 from npghm.natural_gradient import SubproblemConfig
 from npghm.oracles import exact_truncated_gradient
@@ -23,7 +23,7 @@ def main() -> None:
         eval_interval=big_t, store_vectors=True,
         subproblem=SubproblemConfig(kind="identity"),
     )
-    res = run_npg_hm(mdp, pol, cfg)
+    res = train(mdp, pol, cfg, "npg-hm")
     target = exact_truncated_gradient(mdp, pol, horizon)  # theta is ~frozen
 
     err_u = np.array([np.linalg.norm(r.u - target) for r in res.records])

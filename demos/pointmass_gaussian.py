@@ -7,7 +7,7 @@ closed-form reference to aim for.
 """
 import numpy as np
 
-from npghm.algorithms import RunConfig, run_npg_hm
+from npghm.algorithms import RunConfig, train
 from npghm.envs import pointmass
 from npghm.natural_gradient import SubproblemConfig
 from npghm.oracles import lqr_optimal_return, lqr_riccati_fixed_point, lqr_riccati_residual
@@ -29,7 +29,7 @@ def main() -> None:
         eval_interval=20, eval_trajectories=300,
         subproblem=SubproblemConfig(kind="sgd_average", n_iters=100),
     )
-    res = run_npg_hm(env, pol, cfg)
+    res = train(env, pol, cfg, "npg-hm")
     print(f"\nnpg-hm, T = {cfg.big_t}, sampled sub-solver K = {cfg.subproblem.n_iters}:")
     print(f"  {'t':>5} {'trajectories':>13} {'J_hat (MC)':>12}")
     for r in res.records:

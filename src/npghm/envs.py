@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .policies import is_pointmass_gaussian
+from .policies import TruncatedLinearGaussianPolicy
 
 _ATOL = 1e-12
 
@@ -166,11 +166,14 @@ class PointMassEnv:
     def __post_init__(self):
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError(f"gamma must be in [0, 1), got {self.gamma}")
-        if self.q_s < 0 or self.q_a < 0 or self.noise_std < 0:
-            raise ValueError("q_s, q_a, noise_std must be nonnegative")
-        if self.state_radius <= 0 or self.action_radius <= 0:
-            raise ValueError("declared radii must be positive")
-        if abs(self.init_state) > self.state_radius:
+        # written as `not (finite and in range)` so that NaN and inf fail
+        if not all(math.isfinite(v) for v in (self.a_dyn, self.b_dyn)):
+            raise ValueError("a_dyn and b_dyn must be finite")
+        if not all(0 <= v < math.inf for v in (self.q_s, self.q_a, self.noise_std)):
+            raise ValueError("q_s, q_a, noise_std must be nonnegative and finite")
+        if not all(0 < v < math.inf for v in (self.state_radius, self.action_radius)):
+            raise ValueError("declared radii must be positive and finite")
+        if not abs(self.init_state) <= self.state_radius:
             raise ValueError("init_state must lie within the state radius")
 
     @property
@@ -278,11 +281,11 @@ def sample_state_action(env, policy, rng: np.random.Generator):
 
 
 def _check_pointmass_pair(env, policy) -> None:
-    if not (isinstance(env, PointMassEnv) and is_pointmass_gaussian(policy)):
+    if not (isinstance(env, PointMassEnv) and isinstance(policy, TruncatedLinearGaussianPolicy)):
         raise TypeError(
             f"no sampler for {type(env).__name__} with {type(policy).__name__}; "
             "use a TabularMdp with a softmax policy, or a PointMassEnv with a "
-            "linear-Gaussian policy on PointMassFeatures"
+            "truncated linear-Gaussian policy"
         )
 
 

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .oracles import pinv_solve
-from .policies import Policy, is_pointmass_gaussian
+from .policies import Policy, TruncatedLinearGaussianPolicy
 
 Sampler = Callable[[], tuple]
 
@@ -78,7 +78,7 @@ def npg_sgd(
     u = np.asarray(u, dtype=float)
     eta = resolve_eta(cfg, policy)
     w = np.zeros_like(u) if w0 is None else np.array(w0, dtype=float)
-    if is_pointmass_gaussian(policy):
+    if isinstance(policy, TruncatedLinearGaussianPolicy):
         return _npg_sgd_pointmass(sampler, policy, u, eta, cfg.n_iters, w)
     acc = w.copy()
     for _ in range(cfg.n_iters):

@@ -150,9 +150,6 @@ class TabularSoftmaxPolicy(Policy):
         return (occupancy[:, None] * hx).reshape(-1)
 
 
-# A feature map phi: state -> R^d with ||phi|| <= r_phi exposes dim, r_phi,
-# phi(s) and batch(states), one feature row per state.
-
 @dataclass(frozen=True)
 class PointMassFeatures:
     """phi(s) = (clip(s)/radius, 1)/sqrt(2); unit bound r_phi = 1."""
@@ -177,20 +174,6 @@ class PointMassFeatures:
 
 
 @dataclass(frozen=True)
-class ArrayFeatures:
-    """States already are feature vectors; declared bound passed through."""
-
-    dim: int
-    r_phi: float
-
-    def __call__(self, s) -> np.ndarray:
-        return np.asarray(s, dtype=float)
-
-    def batch(self, states) -> np.ndarray:
-        return np.asarray(states, dtype=float)
-
-
-@dataclass(frozen=True)
 class TruncatedLinearGaussianPolicy(Policy):
     """Gaussian N(theta . phi(s), sigma^2) truncated to a +-trunc_c sigma
     window around its own mean.
@@ -202,7 +185,7 @@ class TruncatedLinearGaussianPolicy(Policy):
     recovers the plain Gaussian.
     """
 
-    features: PointMassFeatures | ArrayFeatures
+    features: PointMassFeatures
     theta: np.ndarray
     sigma: float = 0.5
     trunc_c: float = 3.0
@@ -241,17 +224,14 @@ class TruncatedLinearGaussianPolicy(Policy):
         return replace(self, theta=np.asarray(theta, dtype=float))
 
     def mean(self, s) -> float:
-        """theta . phi(s). On PointMassFeatures it is written on floats,
-        theta0 (clip(s)/R)/sqrt(2) + theta1 (1/sqrt(2)), the formula the
-        pointmass walk in envs and npg_sgd inline (np.dot can fuse the
-        multiply-add, as AVX-512 OpenBLAS does, and round differently)."""
-        f = self.features
-        if isinstance(f, PointMassFeatures):
-            t0, t1 = self.theta.tolist()
-            r, root2 = f.state_radius, math.sqrt(2.0)
-            x = min(max(float(s), -r), r)
-            return t0 * ((x / r) / root2) + t1 * (1.0 / root2)
-        return float(np.dot(self.theta, f(s)))
+        """theta . phi(s), written on floats as theta0 (clip(s)/R)/sqrt(2) +
+        theta1 (1/sqrt(2)), the formula the pointmass walk in envs and
+        npg_sgd inline (np.dot can fuse the multiply-add, as AVX-512
+        OpenBLAS does, and round differently)."""
+        t0, t1 = self.theta.tolist()
+        r, root2 = self.features.state_radius, math.sqrt(2.0)
+        x = min(max(float(s), -r), r)
+        return t0 * ((x / r) / root2) + t1 * (1.0 / root2)
 
     def log_prob(self, s, a) -> float:
         z = (float(a) - self.mean(s)) / self.sigma
@@ -289,14 +269,6 @@ class TruncatedLinearGaussianPolicy(Policy):
         phi = self.features.batch(states)
         proj = phi @ (np.asarray(x, dtype=float) / self.sigma**2)
         return -(np.asarray(weights, dtype=float) * proj) @ phi
-
-
-def is_pointmass_gaussian(policy) -> bool:
-    """True for the truncated linear-Gaussian policy on PointMassFeatures,
-    whose draws and SGD solve run on Python floats."""
-    return isinstance(policy, TruncatedLinearGaussianPolicy) and isinstance(
-        policy.features, PointMassFeatures
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +344,7 @@ def save_policy(policy: Policy, path) -> None:
         fh.write(np.ascontiguousarray(policy.theta, dtype="<f8").tobytes())
 
 
-def load_policy(path, features: PointMassFeatures | ArrayFeatures | None = None) -> Policy:
+def load_policy(path, features: PointMassFeatures | None = None) -> Policy:
     """Inverse of save_policy; linear-Gaussian policies need their feature
     map supplied (it is code, not data)."""
     with open(path, "rb") as fh:

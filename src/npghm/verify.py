@@ -130,6 +130,12 @@ def check_env_sampler_determinism(seed: int) -> CheckResult:
 # policy
 # ---------------------------------------------------------------------------
 
+def _gaussian(theta, sigma: float, trunc_c: float) -> policies.TruncatedLinearGaussianPolicy:
+    """Truncated linear-Gaussian policy on PointMassFeatures(2.0), the feature
+    map the pointmass runs train with."""
+    return policies.TruncatedLinearGaussianPolicy(policies.PointMassFeatures(2.0), theta, sigma, trunc_c)
+
+
 def check_policy_score_zero_mean(seed: int) -> CheckResult:
     rng = _rng(seed, 4)
     pol = policies.TabularSoftmaxPolicy(3, 4, rng.standard_normal(12))
@@ -137,11 +143,8 @@ def check_policy_score_zero_mean(seed: int) -> CheckResult:
     for s in range(3):
         mean = sum(pol.probs_matrix()[s, a] * pol.score(s, a) for a in range(4))
         worst = max(worst, float(np.abs(mean).max()))
-    gauss = policies.TruncatedLinearGaussianPolicy(
-        policies.ArrayFeatures(dim=2, r_phi=math.sqrt(2.0)),
-        theta=rng.standard_normal(2), sigma=0.7, trunc_c=3.0,
-    )
-    s = np.array([1.0, 1.0])
+    gauss = _gaussian(rng.standard_normal(2), sigma=0.7, trunc_c=3.0)
+    s = 1.0
     n = 100_000
     draws = np.array([gauss.score(s, gauss.sample_action(s, rng)) for _ in range(n)])
     se = draws.std(axis=0, ddof=1) / math.sqrt(n)
@@ -153,47 +156,46 @@ def check_policy_score_zero_mean(seed: int) -> CheckResult:
     )
 
 
+def _fd_cases(rng, n: int = 50):
+    """n random (policy, s, a) cases on a 3x3 softmax, then n on the
+    pointmass Gaussian with states 1.5 N(0, 1), some past its clip radius."""
+    for _ in range(n):
+        pol = policies.TabularSoftmaxPolicy(3, 3, rng.standard_normal(9))
+        yield pol, int(rng.integers(3)), int(rng.integers(3))
+    for _ in range(n):
+        pol = _gaussian(rng.standard_normal(2), sigma=0.6, trunc_c=4.0)
+        s = 1.5 * rng.standard_normal()
+        yield pol, s, pol.sample_action(s, rng)
+
+
 def _score_fd_error(pol, s, a) -> float:
     fd = _central_fd(lambda theta: pol.with_params(theta).log_prob(s, a), pol.theta)
     return _rel_err(fd, pol.score(s, a))
 
 
 def check_policy_score_fd(seed: int) -> CheckResult:
-    rng = _rng(seed, 5)
-    worst = 0.0
-    for _ in range(50):
-        pol = policies.TabularSoftmaxPolicy(3, 3, rng.standard_normal(9))
-        s, a = int(rng.integers(3)), int(rng.integers(3))
-        worst = max(worst, _score_fd_error(pol, s, a))
-    feats = policies.ArrayFeatures(dim=3, r_phi=2.0)
-    for _ in range(50):
-        pol = policies.TruncatedLinearGaussianPolicy(
-            feats, rng.standard_normal(3), sigma=0.6, trunc_c=4.0
-        )
-        s = rng.standard_normal(3) * 0.5
-        worst = max(worst, _score_fd_error(pol, s, pol.sample_action(s, rng)))
+    worst = max(_score_fd_error(*case) for case in _fd_cases(_rng(seed, 5)))
     return _result(
         "policy", "score_finite_difference",
         "central FD of log_prob matches score (relative)", 1e-5, worst,
     )
 
 
+def _hvp_fd_error(pol, s, a, x, eps: float = 1e-6) -> float:
+    fd = (
+        pol.with_params(pol.theta + eps * x).score(s, a)
+        - pol.with_params(pol.theta - eps * x).score(s, a)
+    ) / (2 * eps)
+    return _rel_err(fd, pol.log_density_hvp(s, a, x))
+
+
 def check_policy_hvp_fd(seed: int) -> CheckResult:
     rng = _rng(seed, 6)
-    eps, worst = 1e-6, 0.0
-    for _ in range(50):
-        pol = policies.TabularSoftmaxPolicy(3, 3, rng.standard_normal(9))
-        s, a = int(rng.integers(3)), int(rng.integers(3))
-        x = rng.standard_normal(pol.dim)
-        hx = pol.log_density_hvp(s, a, x)
-        fd = (
-            pol.with_params(pol.theta + eps * x).score(s, a)
-            - pol.with_params(pol.theta - eps * x).score(s, a)
-        ) / (2 * eps)
-        worst = max(worst, _rel_err(fd, hx))
+    worst = max(_hvp_fd_error(pol, s, a, rng.standard_normal(pol.dim)) for pol, s, a in _fd_cases(rng))
     return _result(
         "policy", "hvp_finite_difference",
-        "FD of score along x matches log_density_hvp (relative)", 1e-5, worst,
+        "FD of score along x matches log_density_hvp (relative), softmax and pointmass Gaussian",
+        1e-5, worst,
     )
 
 
@@ -201,13 +203,10 @@ def check_policy_truncation_normalization(seed: int) -> CheckResult:
     from scipy.integrate import quad
 
     rng = _rng(seed, 7)
-    feats = policies.ArrayFeatures(dim=2, r_phi=2.0)
     worst = 0.0
     for c in (1.0, 3.0):
-        pol = policies.TruncatedLinearGaussianPolicy(
-            feats, rng.standard_normal(2), sigma=0.8, trunc_c=c
-        )
-        s = np.array([0.3, -0.2])
+        pol = _gaussian(rng.standard_normal(2), sigma=0.8, trunc_c=c)
+        s = 0.3
         mu = pol.mean(s)
         total, _ = quad(
             lambda a: math.exp(pol.log_prob(s, a)),
@@ -226,21 +225,19 @@ def check_policy_measured_bounds(seed: int) -> CheckResult:
     samples = [(int(rng.integers(2)), int(rng.integers(3))) for _ in range(200)]
     mb = policies.measured_bounds(pol, samples)
     ok = mb.m_g_hat <= 2.0 and mb.m_h_hat <= 0.5 + 1e-9 and abs(mb.mu_f_hat) <= 1e-10
-    # Whitened features: E[phi phi^T] = I, untruncated Gaussian, so the
-    # Fisher floor is 1/sigma^2.
+    # States split evenly between +-R have phi = (+-1, 1)/sqrt(2), so
+    # E[phi phi^T] = I/2; the Gaussian is untruncated, so the Fisher floor is
+    # 1/(2 sigma^2).
     sigma = 0.5
-    angles = rng.uniform(0, 2 * math.pi, size=4000)
-    feats = policies.ArrayFeatures(dim=2, r_phi=math.sqrt(2.0))
-    gauss = policies.TruncatedLinearGaussianPolicy(
-        feats, np.zeros(2), sigma=sigma, trunc_c=math.inf
-    )
-    states = math.sqrt(2.0) * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    gsamples = [(s, gauss.sample_action(s, rng)) for s in states]
+    gauss = _gaussian(np.zeros(2), sigma=sigma, trunc_c=math.inf)
+    r = gauss.features.state_radius
+    gsamples = [(s, gauss.sample_action(s, rng)) for s in (r, -r) * 2000]
     gb = policies.measured_bounds(gauss, gsamples)
-    rel = abs(gb.mu_f_hat - 1.0 / sigma**2) * sigma**2
+    rel = abs(gb.mu_f_hat - 0.5 / sigma**2) * 2.0 * sigma**2
     return _result(
         "policy", "measured_bounds",
-        "softmax m_g<=2, m_h<=1/2, singular Fisher; whitened Gaussian Fisher floor ~ 1/sigma^2",
+        "softmax m_g<=2, m_h<=1/2, singular Fisher; pointmass Gaussian on +-R states, "
+        "Fisher floor ~ 1/(2 sigma^2)",
         0.1, rel if ok else math.inf,
     )
 
@@ -514,8 +511,8 @@ def check_trajectory_accounting(seed: int) -> CheckResult:
         subproblem=natural_gradient.SubproblemConfig(kind="exact"),
     )
     worst = 0.0
-    for name, runner in algorithms.ALGORITHMS.items():
-        counts = [r.trajectories for r in runner(mdp, pol, cfg).records]
+    for name in algorithms.METHODS:
+        counts = [r.trajectories for r in algorithms.train(mdp, pol, cfg, name).records]
         k = algorithms.METHODS[name].trajectories_per_step
         want = [1] + [1 + k * (t - 1) for t in range(2, 12)]
         worst = max(worst, 0.0 if counts == want else 1.0)
@@ -534,8 +531,8 @@ def check_beta_one_collapse(seed: int) -> CheckResult:
         subproblem=natural_gradient.SubproblemConfig(kind="identity"),
     )
     bad = 0
-    for runner in (algorithms.run_npg_hm, algorithms.run_mnpg):
-        res = runner(mdp, pol, cfg)
+    for name in ("npg-hm", "mnpg"):
+        res = algorithms.train(mdp, pol, cfg, name)
         for rec in res.records:
             if not np.array_equal(rec.u, rec.fresh):
                 bad += 1
@@ -561,8 +558,8 @@ def check_zero_reward_fixed_point(seed: int) -> CheckResult:
             big_t=8, alpha0=0.5, horizon=12, seed=seed,
             subproblem=natural_gradient.SubproblemConfig(kind=kind, n_iters=20),
         )
-        for runner in algorithms.ALGORITHMS.values():
-            res = runner(mdp, pol, cfg)
+        for name in algorithms.METHODS:
+            res = algorithms.train(mdp, pol, cfg, name)
             if not np.array_equal(res.theta, theta0):
                 bad += 1
     return _result(
@@ -577,7 +574,7 @@ def check_npg_hm_trend(seed: int) -> CheckResult:
     cfg = algorithms.RunConfig(
         big_t=300, tau0=500.0, seed=seed, subproblem=natural_gradient.SubproblemConfig(kind="exact")
     )
-    res = algorithms.run_npg_hm(mdp, pol, cfg)
+    res = algorithms.train(mdp, pol, cfg, "npg-hm")
     j_star = oracles.optimal_return(mdp).j_star
     gap0 = j_star - oracles.exact_return(mdp, pol)
     final_gap = res.records[-1].gap

@@ -17,10 +17,7 @@ from npghm.algorithms import (
     alpha_schedule,
     auto_horizon,
     beta_schedule,
-    run_harpg,
-    run_mnpg,
-    run_npg_hm,
-    run_vanilla_pg,
+    train,
 )
 from npghm.envs import TabularMdp, bandit, chain, random_mdp, sample_trajectory
 from npghm.harness import build_train_spec, train_experiment
@@ -199,12 +196,12 @@ def test_08_desk_scale_convergence():
             big_t=2000, alpha0=0.05, tau0=500.0, seed=seed, eval_interval=2000,
             subproblem=SubproblemConfig(kind="exact", damping=0.3),
         )
-        res = run_npg_hm(mdp, TabularSoftmaxPolicy.zeros(5, 2), cfg)
+        res = train(mdp, TabularSoftmaxPolicy.zeros(5, 2), cfg, "npg-hm")
         npg_gaps.append(res.records[-1].gap)
         budgets.add(res.trajectories)
         # same trajectory budget: 1 + 2 (2000 - 2) = 3997 -> T = 3998 for PG
         cfg_pg = RunConfig(big_t=3998, alpha0=0.05, tau0=500.0, seed=seed, eval_interval=3998)
-        res_pg = run_vanilla_pg(mdp, TabularSoftmaxPolicy.zeros(5, 2), cfg_pg)
+        res_pg = train(mdp, TabularSoftmaxPolicy.zeros(5, 2), cfg_pg, "pg")
         pg_gaps.append(res_pg.records[-1].gap)
         budgets.add(res_pg.trajectories)
     med = statistics.median(npg_gaps)
@@ -242,8 +239,8 @@ def test_09_schedules_and_bookkeeping(tmp_path):
     mdp = chain(3)
     cfg = RunConfig(big_t=9, alpha0=0.05, tau0=500.0, horizon=5,
                     subproblem=SubproblemConfig(kind="identity"))
-    momentum = run_npg_hm(mdp, TabularSoftmaxPolicy.zeros(3, 2), cfg)
-    fresh = run_vanilla_pg(mdp, TabularSoftmaxPolicy.zeros(3, 2), cfg)
+    momentum = train(mdp, TabularSoftmaxPolicy.zeros(3, 2), cfg, "npg-hm")
+    fresh = train(mdp, TabularSoftmaxPolicy.zeros(3, 2), cfg, "pg")
     counters_ok = (
         [r.trajectories for r in momentum.records] == [1, 3, 5, 7, 9, 11, 13, 15]
         and [r.trajectories for r in fresh.records] == list(range(1, 9))
@@ -271,10 +268,10 @@ def test_10_degenerate_collapses():
     # algorithm's parameters exactly.
     mdp = chain(3)
     collapse_ok = True
-    for run in (run_npg_hm, run_mnpg):
+    for name in ("npg-hm", "mnpg"):
         cfg = RunConfig(big_t=6, alpha0=0.05, tau0=500.0, force_beta=1.0, store_vectors=True,
                         subproblem=SubproblemConfig(kind="identity"))
-        res = run(mdp, TabularSoftmaxPolicy.zeros(3, 2), cfg)
+        res = train(mdp, TabularSoftmaxPolicy.zeros(3, 2), cfg, name)
         collapse_ok = collapse_ok and all(
             np.array_equal(rec.u, rec.fresh) for rec in res.records
         )
@@ -286,10 +283,10 @@ def test_10_degenerate_collapses():
         gamma=mdp.gamma,
     )
     frozen_ok = True
-    for run in (run_npg_hm, run_vanilla_pg, run_harpg, run_mnpg):
+    for name in ("npg-hm", "pg", "harpg", "mnpg"):
         cfg = RunConfig(big_t=6, alpha0=0.5, tau0=500.0,
                         subproblem=SubproblemConfig(kind="exact", damping=0.3))
-        res = run(zero, TabularSoftmaxPolicy.zeros(3, 2), cfg)
+        res = train(zero, TabularSoftmaxPolicy.zeros(3, 2), cfg, name)
         frozen_ok = frozen_ok and np.array_equal(res.theta, np.zeros(6))
 
     _verdict(

@@ -12,10 +12,7 @@ from npghm.algorithms import (
     alpha_schedule,
     auto_horizon,
     beta_schedule,
-    run_harpg,
-    run_mnpg,
-    run_npg_hm,
-    run_vanilla_pg,
+    train,
 )
 from npghm.envs import TabularMdp, bandit, chain, random_mdp, sample_trajectory
 from npghm.estimators import truncated_grad
@@ -98,8 +95,8 @@ class TestBookkeeping:
         pol = TabularSoftmaxPolicy.zeros(3, 2)
         cfg = RunConfig(big_t=12, alpha0=0.05, horizon=6, seed=0,
                         subproblem=SubproblemConfig(kind="identity"))
-        for runner in (run_npg_hm, run_harpg):
-            res = runner(mdp, pol, cfg)
+        for name in ("npg-hm", "harpg"):
+            res = train(mdp, pol, cfg, name)
             counts = [r.trajectories for r in res.records]
             assert counts == [1] + [1 + 2 * k for k in range(1, 11)]
             assert res.trajectories == 1 + 2 * (12 - 2)
@@ -109,8 +106,8 @@ class TestBookkeeping:
         pol = TabularSoftmaxPolicy.zeros(3, 2)
         cfg = RunConfig(big_t=9, alpha0=0.05, horizon=6, seed=0,
                         subproblem=SubproblemConfig(kind="identity"))
-        for runner in (run_vanilla_pg, run_mnpg):
-            res = runner(mdp, pol, cfg)
+        for name in ("pg", "mnpg"):
+            res = train(mdp, pol, cfg, name)
             assert [r.trajectories for r in res.records] == list(range(1, 9))
             assert res.trajectories == 8
 
@@ -119,7 +116,7 @@ class TestBookkeeping:
         pol = TabularSoftmaxPolicy.zeros(3, 2)
         cfg = RunConfig(big_t=12, alpha0=0.05, horizon=6, eval_interval=4,
                         subproblem=SubproblemConfig(kind="identity"))
-        res = run_npg_hm(mdp, pol, cfg)
+        res = train(mdp, pol, cfg, "npg-hm")
         evaluated = [r.t for r in res.records if r.j_hat is not None]
         assert evaluated == [4, 8, 11]  # multiples of 4 plus the final iterate
 
@@ -128,7 +125,7 @@ class TestBookkeeping:
         pol = TabularSoftmaxPolicy.zeros(4, 2)
         cfg = RunConfig(big_t=5, alpha0=0.1, horizon=7, seed=3,
                         subproblem=SubproblemConfig(kind="exact", damping=0.3))
-        res = run_npg_hm(mdp, pol, cfg)
+        res = train(mdp, pol, cfg, "npg-hm")
         assert res.horizon == 7
         assert res.alpha0 == 0.1
 
@@ -139,8 +136,8 @@ class TestDeterminism:
         pol = TabularSoftmaxPolicy.zeros(4, 2)
         cfg = RunConfig(big_t=15, alpha0=0.05, seed=11,
                         subproblem=SubproblemConfig(kind="exact", damping=0.3))
-        a = run_npg_hm(mdp, pol, cfg)
-        b = run_npg_hm(mdp, pol, cfg)
+        a = train(mdp, pol, cfg, "npg-hm")
+        b = train(mdp, pol, cfg, "npg-hm")
         assert np.array_equal(a.theta, b.theta)
         assert [r.u_norm for r in a.records] == [r.u_norm for r in b.records]
 
@@ -149,8 +146,8 @@ class TestDeterminism:
         pol = TabularSoftmaxPolicy.zeros(4, 2)
         base = dict(big_t=15, alpha0=0.05,
                     subproblem=SubproblemConfig(kind="exact", damping=0.3))
-        a = run_npg_hm(mdp, pol, RunConfig(seed=1, **base))
-        b = run_npg_hm(mdp, pol, RunConfig(seed=2, **base))
+        a = train(mdp, pol, RunConfig(seed=1, **base), "npg-hm")
+        b = train(mdp, pol, RunConfig(seed=2, **base), "npg-hm")
         assert not np.array_equal(a.theta, b.theta)
 
     def test_eval_rollouts_do_not_touch_training_stream(self):
@@ -159,8 +156,8 @@ class TestDeterminism:
                           subproblem=SubproblemConfig(kind="identity"))
         mdp = chain(4)
         pol = TabularSoftmaxPolicy.zeros(4, 2)
-        a = run_npg_hm(mdp, pol, RunConfig(eval_interval=1, **env_kwargs))
-        b = run_npg_hm(mdp, pol, RunConfig(eval_interval=100, **env_kwargs))
+        a = train(mdp, pol, RunConfig(eval_interval=1, **env_kwargs), "npg-hm")
+        b = train(mdp, pol, RunConfig(eval_interval=100, **env_kwargs), "npg-hm")
         assert np.array_equal(a.theta, b.theta)
 
 
@@ -172,8 +169,8 @@ class TestEquivalences:
         harpg_cfg = quiet_config(big_t=20, alpha0=0.1, tau0=2.0, harpg_tau0=2.0, seed=9)
         npg_cfg = quiet_config(big_t=20, alpha0=0.1, tau0=2.0, seed=9,
                                subproblem=SubproblemConfig(kind="identity"))
-        a = run_harpg(mdp, pol, harpg_cfg)
-        b = run_npg_hm(mdp, pol, npg_cfg)
+        a = train(mdp, pol, harpg_cfg, "harpg")
+        b = train(mdp, pol, npg_cfg, "npg-hm")
         assert np.array_equal(a.theta, b.theta)
         assert [r.u_norm for r in a.records] == [r.u_norm for r in b.records]
         assert [r.beta_t for r in a.records] == [r.beta_t for r in b.records]
@@ -182,12 +179,12 @@ class TestEquivalences:
         # u_t must equal the fresh single-trajectory gradient, bitwise
         mdp = chain(4)
         pol = TabularSoftmaxPolicy.zeros(4, 2)
-        for runner in (run_npg_hm, run_mnpg, run_harpg):
+        for name in ("npg-hm", "mnpg", "harpg"):
             cfg = RunConfig(big_t=10, alpha0=0.05, force_beta=1.0, store_vectors=True,
                             subproblem=SubproblemConfig(kind="identity"))
-            res = runner(mdp, pol, cfg)
+            res = train(mdp, pol, cfg, name)
             for rec in res.records:
-                assert np.array_equal(rec.u, rec.fresh), runner.__name__
+                assert np.array_equal(rec.u, rec.fresh), name
 
     def test_first_direction_is_fresh_gradient(self):
         # u_1 = g(tau_1; theta_1) for every momentum method although beta_1 < 1,
@@ -199,11 +196,11 @@ class TestEquivalences:
         traj = sample_trajectory(mdp, pol, auto_horizon(mdp.gamma, 3, cfg.tau0),
                                  substream(4, "trajectory"))
         g1 = truncated_grad(traj, pol, mdp.gamma)
-        for runner in (run_npg_hm, run_harpg, run_mnpg):
-            first = runner(mdp, pol, cfg).records[0]
+        for name in ("npg-hm", "harpg", "mnpg"):
+            first = train(mdp, pol, cfg, name).records[0]
             assert first.beta_t < 1.0
-            assert np.array_equal(first.u, first.fresh), runner.__name__
-            assert np.array_equal(first.fresh, g1), runner.__name__
+            assert np.array_equal(first.u, first.fresh), name
+            assert np.array_equal(first.fresh, g1), name
 
     def test_zero_rewards_freeze_theta(self):
         mdp = zero_reward_mdp()
@@ -227,14 +224,14 @@ class TestSolverPlumbing:
         pol = TruncatedLinearGaussianPolicy(feats, np.zeros(2), sigma=0.5, trunc_c=3.0)
         cfg = RunConfig(big_t=3, alpha0=0.01, subproblem=SubproblemConfig(kind="exact"))
         with pytest.raises(ValueError, match="tabular"):
-            run_npg_hm(env, pol, cfg)
+            train(env, pol, cfg, "npg-hm")
 
     def test_sgd_solver_runs_on_tabular(self):
         mdp = chain(3)
         pol = TabularSoftmaxPolicy.zeros(3, 2)
         cfg = RunConfig(big_t=6, alpha0=0.05, horizon=6,
                         subproblem=SubproblemConfig(kind="sgd_average", n_iters=30))
-        res = run_npg_hm(mdp, pol, cfg)
+        res = train(mdp, pol, cfg, "npg-hm")
         assert res.theta.shape == (6,)
         assert all(np.isfinite(r.w_norm) for r in res.records)
 
@@ -243,7 +240,7 @@ class TestSolverPlumbing:
         pol = TabularSoftmaxPolicy.zeros(3, 2)
         cfg = RunConfig(big_t=4, alpha0="theory", horizon=6,
                         subproblem=SubproblemConfig(kind="identity"))
-        res = run_npg_hm(mdp, pol, cfg)
+        res = train(mdp, pol, cfg, "npg-hm")
         assert res.alpha0 > 0
         assert res.alpha0_theory == res.alpha0
 
@@ -252,7 +249,7 @@ class TestSolverPlumbing:
         pol = TabularSoftmaxPolicy.zeros(3, 2)
         cfg = RunConfig(big_t=4, alpha0=0.05, horizon=6,
                         subproblem=SubproblemConfig(kind="identity"))
-        res = run_npg_hm(mdp, pol, cfg)
+        res = train(mdp, pol, cfg, "npg-hm")
         assert res.alpha0 == 0.05
         assert res.alpha0_theory is None
 
@@ -267,7 +264,7 @@ class TestNanAbort:
                         subproblem=SubproblemConfig(kind="identity"))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NanAbortError) as info:
-                run_npg_hm(mdp, pol, cfg)
+                train(mdp, pol, cfg, "npg-hm")
         err = info.value
         assert err.t >= 1
         assert err.what in ("u", "w", "theta")
@@ -280,7 +277,7 @@ class TestConvergenceSmoke:
         pol = TabularSoftmaxPolicy.zeros(5, 2)
         cfg = RunConfig(big_t=300, alpha0=0.05, tau0=500.0, seed=1, eval_interval=300,
                         subproblem=SubproblemConfig(kind="exact", damping=0.3))
-        res = run_npg_hm(mdp, pol, cfg)
+        res = train(mdp, pol, cfg, "npg-hm")
         gap0 = optimal_return(mdp).j_star - exact_return(mdp, pol.probs_matrix())
         assert res.records[-1].gap < 0.2 * gap0
 
@@ -290,7 +287,7 @@ class TestConvergenceSmoke:
         mdp = chain(5)
         pol = TabularSoftmaxPolicy.zeros(5, 2)
         cfg = RunConfig(big_t=2000, alpha0=0.05, tau0=500.0, seed=1, eval_interval=2000)
-        res = run_vanilla_pg(mdp, pol, cfg)
+        res = train(mdp, pol, cfg, "pg")
         gap0 = optimal_return(mdp).j_star - exact_return(mdp, pol.probs_matrix())
         assert res.records[-1].gap < 0.1 * gap0
 
@@ -302,7 +299,7 @@ class TestConvergenceSmoke:
         horizon = 12
         cfg = RunConfig(big_t=120, alpha0=1e-8, horizon=horizon, seed=5, store_vectors=True,
                         subproblem=SubproblemConfig(kind="identity"))
-        res = run_npg_hm(mdp, pol, cfg)
+        res = train(mdp, pol, cfg, "npg-hm")
         exact = exact_truncated_gradient(mdp, pol, horizon)
         err_u = np.linalg.norm(res.records[-1].u - exact)
         fresh_errs = [np.linalg.norm(r.fresh - exact) for r in res.records[-20:]]

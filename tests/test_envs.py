@@ -23,7 +23,6 @@ from npghm.envs import (
 )
 from npghm.oracles import exact_state_action_visitation, exact_visitation
 from npghm.policies import (
-    ArrayFeatures,
     PointMassFeatures,
     TabularSoftmaxPolicy,
     TruncatedLinearGaussianPolicy,
@@ -375,9 +374,11 @@ class TestPointMass:
             phi = feats(s)
             assert same(phi[0], float(np.clip(s, -rad, rad)) / rad / math.sqrt(2.0))
             assert phi[1] == 1.0 / math.sqrt(2.0)
-        # the float walk clips as step and the features do, from the same states
+        # the float walk clips as step and the features do, from the same
+        # states; the constructor rejects a NaN init_state, so it is set after
         for s0 in (math.nan, -0.0, 0.0, rad, -rad):
-            walk_env = PointMassEnv(noise_std=0.0, init_state=s0)
+            walk_env = PointMassEnv(noise_std=0.0)
+            object.__setattr__(walk_env, "init_state", s0)
             for theta in ([-0.0, -0.0], [0.0, 0.0], [1.0, -0.0]):
                 pol = gaussian(walk_env, theta, trunc_c=math.inf)
                 traj = sample_trajectory(walk_env, pol, 3, ReplayNormals([-0.0] * 6))
@@ -386,7 +387,7 @@ class TestPointMass:
                 assert len(got) == len(want) and all(map(same, got, want))
 
     def test_samplers_reject_other_policies(self):
-        pol = TruncatedLinearGaussianPolicy(ArrayFeatures(dim=1, r_phi=1.0), np.zeros(1))
+        pol = TabularSoftmaxPolicy.zeros(1, 2)
         rng = substream(0, "trajectory")
         with pytest.raises(TypeError, match="no sampler"):
             sample_trajectory(pointmass(), pol, 3, rng)
@@ -399,6 +400,15 @@ class TestPointMass:
             PointMassEnv(gamma=1.0)
         with pytest.raises(ValueError):
             PointMassEnv(init_state=5.0)
+
+    @pytest.mark.parametrize(
+        "field",
+        ["a_dyn", "b_dyn", "noise_std", "q_s", "q_a", "state_radius", "action_radius", "init_state"],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_parameters(self, field, value):
+        with pytest.raises(ValueError):
+            PointMassEnv(**{field: value})
 
 
 class TestMdpText:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from npghm import cli, harness
+from npghm import algorithms, cli, harness
 from npghm.algorithms import IterateRecord, RunConfig
 from npghm.envs import PointMassEnv, TabularMdp, chain, dump_mdp_text, random_mdp
 from npghm.harness import (
@@ -277,6 +277,24 @@ class TestTrainExperiment:
         parallel = train_experiment(build_train_spec(mapping, out_dir=tmp_path / "par"))
         for pa, pb in zip(serial.csv_paths, parallel.csv_paths):
             assert pa.read_bytes() == pb.read_bytes()
+
+    def test_cells_run_through_algorithms_table(self, tmp_path, monkeypatch):
+        # replacing a table entry reaches every cell of that algorithm, which
+        # is how perfbench's tracer times each training run
+        mapping = small_mapping(algorithms="npg-hm,pg", seeds="0,1")
+        plain = train_experiment(build_train_spec(mapping, out_dir=tmp_path / "plain"))
+        seeds = []
+
+        def counting(env, policy, cfg):
+            seeds.append(cfg.seed)
+            return algorithms.train(env, policy, cfg, "npg-hm")
+
+        monkeypatch.setitem(algorithms.ALGORITHMS, "npg-hm", counting)
+        wrapped = train_experiment(build_train_spec(mapping, out_dir=tmp_path / "wrapped"))
+        assert seeds == [0, 1]
+        for pa, pb in zip(plain.csv_paths + plain.policy_paths, wrapped.csv_paths + wrapped.policy_paths):
+            assert pa.name == pb.name and pa.read_bytes() == pb.read_bytes()
+        assert plain.summary_path.read_bytes() == wrapped.summary_path.read_bytes()
 
     def test_nonfinite_abort_writes_diagnostic(self, tmp_path):
         mapping = small_mapping(algorithms="npg-hm")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from npghm.algorithms import RunConfig, run_npg_hm
+from npghm.algorithms import RunConfig, train
 from npghm.envs import pointmass, sample_state_action
 from npghm.natural_gradient import (
     SubproblemConfig,
@@ -219,7 +219,7 @@ class TestAdam:
         pol = TruncatedLinearGaussianPolicy(PointMassFeatures(env.state_radius), np.zeros(2))
         cfg = RunConfig(big_t=60, alpha0=0.05, tau0=20.0, seed=1, eval_interval=1, eval_trajectories=100,
                         subproblem=SubproblemConfig(kind="adam", n_iters=30, adam_lr=0.05))
-        res = run_npg_hm(env, pol, cfg)
+        res = train(env, pol, cfg, "npg-hm")
         j = [r.j_hat for r in res.records if r.j_hat is not None]
         assert res.theta[0] < -0.5
         assert j[-1] > j[0] + 0.3

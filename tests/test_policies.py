@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from scipy.special import erf
 
 from npghm.policies import (
-    ArrayFeatures,
     PointMassFeatures,
     TabularSoftmaxPolicy,
     TruncatedLinearGaussianPolicy,
@@ -146,10 +145,6 @@ class TestTruncatedGaussian:
                 mu = pol.mean(s)
                 assert mu == theta[0] * phi0 + theta[1] * phi1
                 assert abs(mu - float(np.dot(theta, pol.features(s)))) <= 2 * math.ulp(abs(mu) + 1.0)
-        # other feature maps keep np.dot
-        arr = TruncatedLinearGaussianPolicy(ArrayFeatures(dim=3, r_phi=2.0), np.array([0.3, -1.1, 0.7]))
-        x = np.array([0.25, 1.5, -0.6])
-        assert arr.mean(x) == float(np.dot(arr.theta, x))
 
     def test_log_prob_normalizes(self):
         # integrate exp(log_prob) over the support
@@ -225,16 +220,12 @@ class TestMeasuredBounds:
         assert mb.mu_f_hat >= -1e-12
 
     def test_whitened_gaussian_fisher_floor(self):
-        # with phi drawn on the unit circle the Fisher is I/sigma^2
+        # states split evenly between +-R have phi = (+-1, 1)/sqrt(2), so
+        # E[phi phi^T] = I/2 and the Fisher floor is about 1/(2 sigma^2)
         rng = substream(5, "bounds")
-        angles = rng.uniform(0, 2 * math.pi, size=600)
-        feats = ArrayFeatures(dim=2, r_phi=1.0)
-        pol = TruncatedLinearGaussianPolicy(feats, np.zeros(2), sigma=0.5, trunc_c=3.0)
-        samples = []
-        for ang in angles:
-            phi = np.array([math.cos(ang), math.sin(ang)])
-            a = pol.sample_action(phi, rng)
-            samples.append((phi, a))
+        pol = gaussian_policy(theta=[0.0, 0.0], sigma=0.5, trunc_c=3.0)
+        r = pol.features.state_radius
+        samples = [(s, pol.sample_action(s, rng)) for s in (r, -r) * 300]
         mb = measured_bounds(pol, samples)
         assert mb.mu_f_hat == pytest.approx(0.5 / 0.5**2, rel=0.2)
 
