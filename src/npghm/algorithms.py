@@ -20,8 +20,7 @@ methods differ only in their row of METHODS:
 
 with theta_hat = q theta_t + (1-q) theta_{t-1}, q ~ U(0,1), tau_hat drawn at
 theta_hat, and w the likelihood ratio of tau_t under theta_{t-1} over
-theta_t. force_beta pins beta_t for every method; pg_step = "constant" drops
-the sqrt(beta_t) factor from pg's step only.
+theta_t. force_beta pins beta_t for every method.
 
 g(tau_t; theta_t) is computed once per iteration: it is pg's u_t, u_1 and the
 fresh term of estimators.storm_step, the one statement of the recursion. The
@@ -85,11 +84,6 @@ def beta_schedule(t: int, tau0: float) -> float:
     return tau0 / (t + tau0)
 
 
-def alpha_schedule(t: int, alpha0: float, tau0: float) -> float:
-    """alpha_t = alpha0 * beta_t^{1/2}."""
-    return alpha0 * math.sqrt(beta_schedule(t, tau0))
-
-
 def auto_horizon(gamma: float, big_t: int, tau0: float) -> int:
     """H = ceil(log(T + tau0) / -log gamma), at least 1."""
     if not 0.0 <= gamma < 1.0:
@@ -122,7 +116,6 @@ class RunConfig:
     force_beta: float | None = None
     beta_fixed: float = 0.5
     harpg_tau0: float = 2.0
-    pg_step: str = "scheduled"
     store_vectors: bool = False
 
     def __post_init__(self):
@@ -156,8 +149,6 @@ class RunConfig:
             raise ValueError("beta_fixed must be in (0, 1]")
         if not 0 < self.harpg_tau0 < math.inf:
             raise ValueError("harpg_tau0 must be positive and finite")
-        if self.pg_step not in ("scheduled", "constant"):
-            raise ValueError("pg_step must be 'scheduled' or 'constant'")
 
 
 @dataclass(frozen=True)
@@ -300,7 +291,6 @@ def train(env, policy, cfg: RunConfig, algorithm: str) -> RunResult:
     horizon = auto_horizon(gamma, cfg.big_t, cfg.tau0) if cfg.horizon == "auto" else int(cfg.horizon)
     alpha0, alpha0_theory = _resolve_alpha0(cfg, env, policy, horizon, streams["bounds"])
     evaluate = _evaluator(env, cfg, horizon, streams["evaluation"])
-    constant_step = method.correction is None and cfg.pg_step == "constant"
 
     theta = np.array(policy.theta, dtype=float)
     pol = pol_prev = policy
@@ -321,7 +311,7 @@ def train(env, policy, cfg: RunConfig, algorithm: str) -> RunResult:
             beta_t = cfg.beta_fixed
         else:
             beta_t = beta_schedule(t, getattr(cfg, method.beta))
-        alpha_t = alpha0 if constant_step else alpha0 * math.sqrt(beta_t)
+        alpha_t = alpha0 * math.sqrt(beta_t)
         hessian = u_prev is not None and method.correction == "hessian"
         if hessian:
             q = streams["q"].random()

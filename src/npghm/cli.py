@@ -95,7 +95,7 @@ def _cmd_verify(args) -> int:
     print(f"{len(results) - n_fail}/{len(results)} checks passed")
     if report:
         payload = [dataclasses.asdict(r) for r in results]
-        report.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        harness._write_text(report, json.dumps(payload, indent=2) + "\n")
         print(f"report: {args.report}")
     return 0 if n_fail == 0 else 1
 

@@ -94,16 +94,20 @@ def parse_config_file(path) -> dict[str, str]:
     return mapping
 
 
-def _parser(cast, noun, word=None):
+def _parser(cast, noun, word=None, ok=lambda value: True):
     """Config value parser: `word` passes through as is, anything else goes
-    through `cast`; a value `cast` rejects raises ValueError(noun)."""
+    through `cast`; a value `cast` rejects, or `ok` is false on, raises
+    ValueError(noun)."""
     def parse(raw: str):
         if raw == word:
             return raw
         try:
-            return cast(raw)
+            value = cast(raw)
         except (ValueError, KeyError):
             raise ValueError(noun) from None
+        if not ok(value):
+            raise ValueError(noun)
+        return value
     return parse
 
 
@@ -126,8 +130,9 @@ KEYS = {
     "out": (str, ""),  # None: $NPGHM_OUTPUT_ROOT, else runs
     "timing": (_BOOL, "false"),
     "workers": (_INT, "1"),
-    "policy.sigma": (_FLOAT, "0.5"),
-    "policy.trunc_c": (_FLOAT, "3.0"),
+    # checked here, on every env: a policy takes these values on pointmass only
+    "policy.sigma": (_parser(float, "a positive finite number", ok=lambda x: 0 < x < math.inf), "0.5"),
+    "policy.trunc_c": (_parser(float, "a positive number or inf", ok=lambda x: x > 0), "3.0"),
     "run.big_t": (_INT, "2000"),
     "run.alpha0": (_parser(float, "a number", "theory"), "0.05"),
     "run.tau0": (_FLOAT, "20.0"),
@@ -137,7 +142,6 @@ KEYS = {
     "run.force_beta": (_FLOAT, ""),
     "run.beta_fixed": (_FLOAT, "0.5"),
     "run.harpg_tau0": (_FLOAT, "2.0"),
-    "run.pg_step": (str, "scheduled"),
     "run.budget": (_INT, "0"),  # 0: no budget
     "subproblem.kind": (str, ""),  # None: exact, or sgd_average on pointmass
     "subproblem.n_iters": (_INT, "100"),

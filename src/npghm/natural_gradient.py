@@ -162,45 +162,3 @@ def averaged_sgd_error_bound(m_g: float, mu_f: float, dim: int, n_iters: int) ->
     if n_iters <= 0 or mu_f <= 0:
         raise ValueError("need n_iters > 0 and mu_f > 0")
     return 4.0 * m_g * (math.sqrt(2.0 * dim) + 1.0) ** 2 / (n_iters * mu_f**3)
-
-
-def recommended_subproblem_iters(kappa: float, dim: int) -> int:
-    """Iteration count K >= 48 kappa^4 (sqrt(2 d) + 1)^2 that drives the
-    solver error constant below the outer loop's tolerance."""
-    if kappa <= 0 or dim <= 0:
-        raise ValueError("kappa and dim must be positive")
-    return math.ceil(48.0 * kappa**4 * (math.sqrt(2.0 * dim) + 1.0) ** 2)
-
-
-@dataclass(frozen=True)
-class TableScorePolicy(Policy):
-    """Synthetic policy for solver tests: 'states' index rows of a fixed
-    score table, actions are ignored, so F = E[x x^T] is fully controlled."""
-
-    table: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "table", np.asarray(self.table, dtype=float))
-        if self.table.ndim != 2:
-            raise ValueError("score table must be (n_rows, dim)")
-
-    @property
-    def dim(self) -> int:
-        return self.table.shape[1]
-
-    @property
-    def m_g(self) -> float:
-        return float((self.table**2).sum(axis=1).max())
-
-    def score(self, s: int, a: int) -> np.ndarray:
-        return self.table[s]
-
-    def make_sampler(self, rng: np.random.Generator) -> Sampler:
-        """Uniform row sampler matching the () -> (s, a) shape."""
-        n = self.table.shape[0]
-        return lambda: (int(rng.integers(n)), 0)
-
-    def fisher(self) -> np.ndarray:
-        """Exact F = E[x x^T] under uniform rows."""
-        n = self.table.shape[0]
-        return np.einsum("i,id,ie->de", np.full(n, 1.0 / n), self.table, self.table)

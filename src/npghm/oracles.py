@@ -156,17 +156,6 @@ def exact_step_distributions(mdp: TabularMdp, pi, horizon: int) -> np.ndarray:
     return mu
 
 
-def exact_truncated_return(mdp: TabularMdp, pi, horizon: int) -> float:
-    """J^H = E[sum_{h<H} gamma^h r_h]."""
-    pi_m = _policy_matrix(mdp, pi)
-    mu = exact_step_distributions(mdp, pi_m, horizon)
-    r_pi = _reward_under(mdp, pi_m)
-    total = 0.0
-    for h in range(horizon):
-        total += mdp.gamma**h * float(np.dot(mu[h], r_pi))
-    return total
-
-
 def exact_truncated_gradient(mdp: TabularMdp, policy, horizon: int) -> np.ndarray:
     """grad J^H by step-indexed dynamic programming.
 

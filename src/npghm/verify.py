@@ -1,4 +1,5 @@
-"""Self-contained invariant checks behind the `verify` CLI subcommand.
+"""Self-contained invariant checks behind the `verify` CLI subcommand, and
+the sub-solver fixture they run on (TableScorePolicy, anisotropic_problem).
 
 Each check pits a sampled quantity against an exact oracle or an analytic
 bound and reports (bound, measured, passed). The default sizes keep a full
@@ -382,7 +383,28 @@ def check_estimator_momentum_collapse(seed: int) -> CheckResult:
 _LAMS = (1.0, 0.8, 0.6, 0.4)  # the sub-solver checks' Fisher is diag(_LAMS)
 
 
-def anisotropic_problem(lams=_LAMS, scale: float = 1.0):
+@dataclass(frozen=True)
+class TableScorePolicy:
+    """Synthetic policy for the sub-solver checks: 'states' index rows of a
+    fixed score table, actions are ignored, so F = E[x x^T] under uniform
+    rows is fully controlled."""
+
+    table: np.ndarray
+
+    @property
+    def m_g(self) -> float:
+        return float((self.table**2).sum(axis=1).max())
+
+    def score(self, s: int, a: int) -> np.ndarray:
+        return self.table[s]
+
+    def make_sampler(self, rng: np.random.Generator):
+        """Uniform row sampler with the () -> (s, a) shape npg_sgd draws from."""
+        n = self.table.shape[0]
+        return lambda: (int(rng.integers(n)), 0)
+
+
+def anisotropic_problem(lams=_LAMS, scale: float = 1.0) -> TableScorePolicy:
     """Score table with rows +-sqrt(d lam_i) e_i / scale: Fisher diag(lams) / scale^2."""
     d = len(lams)
     rows = []
@@ -390,7 +412,7 @@ def anisotropic_problem(lams=_LAMS, scale: float = 1.0):
         e = np.zeros(d)
         e[i] = math.sqrt(d * lam)
         rows += [e, -e]
-    return natural_gradient.TableScorePolicy(np.array(rows) / scale)
+    return TableScorePolicy(np.array(rows) / scale)
 
 
 def sgd_mse(pol, u, w_hat, k: int, rngs) -> float:
@@ -490,15 +512,22 @@ def check_schedule_identities(seed: int) -> CheckResult:
     worst = 0.0
     tau0, alpha0 = 20.0, 1.7
     for t in list(range(1, 100)) + [1000, 10_000]:
-        beta = algorithms.beta_schedule(t, tau0)
-        alpha = algorithms.alpha_schedule(t, alpha0, tau0)
-        worst = max(worst, abs(beta * (t + tau0) - tau0))
-        worst = max(worst, abs(alpha**2 * (t + tau0) - alpha0**2 * tau0) / (alpha0**2 * tau0))
+        worst = max(worst, abs(algorithms.beta_schedule(t, tau0) * (t + tau0) - tau0))
+    mdp = envs.chain(3, gamma=0.9)
+    pol = policies.TabularSoftmaxPolicy.zeros(3, 2)
+    cfg = algorithms.RunConfig(
+        big_t=30, alpha0=alpha0, tau0=tau0, horizon=6, seed=seed, eval_interval=30,
+        subproblem=natural_gradient.SubproblemConfig(kind="identity"),
+    )
+    for name in algorithms.METHODS:
+        for rec in algorithms.train(mdp, pol, cfg, name).records:
+            worst = max(worst, abs(rec.alpha_t**2 - alpha0**2 * rec.beta_t) / (alpha0**2 * rec.beta_t))
     h = algorithms.auto_horizon(0.99, 980, 20.0)
     worst = max(worst, abs(h - math.ceil(math.log(1000.0) / -math.log(0.99))))
     return _result(
         "algorithms", "schedule_identities",
-        "beta_t (t+tau0) = tau0 and alpha_t^2 (t+tau0) = alpha0^2 tau0; auto horizon",
+        "beta_t (t+tau0) = tau0; alpha_t^2 = alpha0^2 beta_t on the records of "
+        "all four methods' runs; auto horizon",
         1e-12, worst,
     )
 

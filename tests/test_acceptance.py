@@ -13,8 +13,8 @@ import time
 import numpy as np
 
 from npghm.algorithms import (
+    METHODS,
     RunConfig,
-    alpha_schedule,
     auto_horizon,
     beta_schedule,
     train,
@@ -216,18 +216,20 @@ def test_08_desk_scale_convergence():
 
 
 def test_09_schedules_and_bookkeeping(tmp_path):
-    # beta_t, alpha_t, and the auto horizon match their closed forms to 1e-12;
+    # beta_t and the auto horizon match their closed forms, and every
+    # method's training steps take alpha_t^2 = alpha0^2 beta_t, to 1e-12;
     # trajectory counters follow the sampling pattern exactly; reruns of the
     # harness are byte-identical.
     worst = 0.0
     for tau0 in (20.0, 500.0):
+        for t in range(1, 2001):
+            worst = max(worst, abs(beta_schedule(t, tau0) - tau0 / (t + tau0)))
         for alpha0 in (0.05, 1.0):
-            for t in range(1, 2001):
-                worst = max(worst, abs(beta_schedule(t, tau0) - tau0 / (t + tau0)))
-                worst = max(
-                    worst,
-                    abs(alpha_schedule(t, alpha0, tau0) - alpha0 * math.sqrt(tau0 / (t + tau0))),
-                )
+            cfg = RunConfig(big_t=200, alpha0=alpha0, tau0=tau0, horizon=5, eval_interval=200,
+                            subproblem=SubproblemConfig(kind="identity"))
+            for name in METHODS:
+                for rec in train(chain(3), TabularSoftmaxPolicy.zeros(3, 2), cfg, name).records:
+                    worst = max(worst, abs(rec.alpha_t**2 - alpha0**2 * rec.beta_t) / (alpha0**2 * rec.beta_t))
     horizons_ok = all(
         auto_horizon(gamma, big_t, tau0)
         == max(1, math.ceil(math.log(big_t + tau0) / -math.log(gamma)))

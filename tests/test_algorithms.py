@@ -7,9 +7,9 @@ import pytest
 
 from npghm.algorithms import (
     ALGORITHMS,
+    METHODS,
     NanAbortError,
     RunConfig,
-    alpha_schedule,
     auto_horizon,
     beta_schedule,
     train,
@@ -45,10 +45,12 @@ class TestSchedules:
         assert beta_schedule(80, 20.0) == pytest.approx(0.2, abs=1e-15)
 
     def test_alpha_is_sqrt_beta_scaled(self):
-        for t in (1, 7, 300):
-            assert alpha_schedule(t, 0.3, 20.0) == pytest.approx(
-                0.3 * math.sqrt(20.0 / (t + 20.0)), abs=1e-15
-            )
+        # the step each method's training run takes: alpha_t^2 = alpha0^2 beta_t
+        cfg = RunConfig(big_t=300, alpha0=0.3, horizon=4, eval_interval=300,
+                        subproblem=SubproblemConfig(kind="identity"))
+        for name in METHODS:
+            for rec in train(chain(3), TabularSoftmaxPolicy.zeros(3, 2), cfg, name).records:
+                assert rec.alpha_t**2 == pytest.approx(0.3**2 * rec.beta_t, rel=1e-12, abs=0.0)
 
     def test_beta_rejects_t_zero(self):
         with pytest.raises(ValueError):
@@ -76,8 +78,6 @@ class TestRunConfig:
             RunConfig(big_t=10, horizon=0)
         with pytest.raises(ValueError):
             RunConfig(big_t=10, force_beta=0.0)
-        with pytest.raises(ValueError):
-            RunConfig(big_t=10, pg_step="linear")
 
     def test_small_tau0_warns(self):
         with pytest.warns(UserWarning, match="tau0"):

@@ -28,6 +28,17 @@ from npghm.policies import TabularSoftmaxPolicy, TruncatedLinearGaussianPolicy, 
 from npghm.verify import CHECKS, run_checks
 
 
+def parses(key, raw) -> bool:
+    """Whether `key` is a config key whose parser takes `raw`."""
+    if key not in harness.KEYS:
+        return False
+    try:
+        harness.KEYS[key][0](raw)
+    except ValueError:
+        return False
+    return True
+
+
 def small_mapping(**extra):
     """A cheap, fully-deterministic training setup on a 3-state chain."""
     mapping = {
@@ -134,7 +145,7 @@ class TestBuildSpec:
         }
         exempt = {"run.big_t", "run.budget", "subproblem.kind"}
         checked = [key for key in harness.KEYS if key.split(".")[0] in fields and key not in exempt]
-        assert len(checked) == 15
+        assert len(checked) == 14
         for key in checked:
             assert harness._read({}, key) == library[key], key
 
@@ -403,6 +414,11 @@ class TestCli:
             ["--set", "run.force_beta=abc"],
             ["sweep", "--sweep-tau0", "abc"],
             ["sweep", "--sweep-K", "abc"],
+            # the policy.* values are checked on every env, not only on pointmass
+            ["--set", "policy.sigma=nan"],
+            ["--set", "policy.sigma=-1"],
+            ["--set", "policy.trunc_c=0"],
+            ["--set", "run.pg_step=scheduled"],  # a retired key is unknown
         ],
     )
     def test_bad_config_exits_two_before_training(self, tmp_path, capsys, extra):
@@ -417,8 +433,8 @@ class TestCli:
         assert err.startswith("configuration error")
         assert not out.exists()
         sweep_keys = {"--sweep-alpha0": "run.alpha0", "--sweep-tau0": "run.tau0", "--sweep-K": "subproblem.n_iters"}
-        for flag, value in zip(extra, extra[1:]):  # a value no parser takes names its key
-            if flag == "--set" and value.endswith("=abc"):
+        for flag, value in zip(extra, extra[1:]):  # an unknown key, or a value its parser rejects, is named
+            if flag == "--set" and not parses(*value.split("=", 1)):
                 assert value.split("=")[0] in err
             if flag in sweep_keys and value == "abc":
                 assert f"{sweep_keys[flag]} must be" in err
@@ -479,8 +495,22 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 0
         assert "checks passed" in captured.out
-        payload = json.loads(report.read_text(encoding="utf-8"))
+        text = report.read_text(encoding="utf-8")
+        payload = json.loads(text)
         assert all(entry["passed"] for entry in payload)
+        assert text == json.dumps(payload, indent=2) + "\n"
+
+    def test_verify_report_torn_write_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        write_text = Path.write_text
+
+        def torn_write(path, data, *args, **kwargs):  # half the report lands, then the write fails
+            write_text(path, data[: len(data) // 2], *args, **kwargs)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", torn_write)
+        with pytest.raises(OSError, match="disk full"):
+            cli.main(["verify", "--only", "oracles", "--report", str(tmp_path / "checks.json")])
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "extra",

@@ -10,28 +10,26 @@ from npghm.algorithms import RunConfig, train
 from npghm.envs import pointmass, sample_state_action
 from npghm.natural_gradient import (
     SubproblemConfig,
-    TableScorePolicy,
     adam_subsolver,
     averaged_sgd_error_bound,
     exact_npg_direction,
     npg_sgd,
-    recommended_subproblem_iters,
     resolve_eta,
 )
 from npghm.policies import PointMassFeatures, TruncatedLinearGaussianPolicy
 from npghm.seeding import substream
+from npghm.verify import TableScorePolicy, anisotropic_problem
 
 
-def anisotropic_policy(dim=4, lams=(1.0, 0.8, 0.6, 0.4)):
-    """Score rows +-sqrt(d*lam_i) e_i give F = diag(lams) under uniform rows."""
-    rows = []
-    d = dim
-    for i, lam in enumerate(lams):
-        e = np.zeros(d)
-        e[i] = math.sqrt(d * lam)
-        rows.append(e)
-        rows.append(-e)
-    return TableScorePolicy(table=np.array(rows) / math.sqrt(2))
+def anisotropic_policy() -> TableScorePolicy:
+    """The sub-solver checks' fixture at scale sqrt(2): score rows
+    +-sqrt(2 lam_i) e_i, lams = (1, 0.8, 0.6, 0.4)."""
+    return anisotropic_problem(scale=math.sqrt(2))
+
+
+def fisher(pol: TableScorePolicy) -> np.ndarray:
+    """Exact F = E[x x^T] under uniform rows: diag(lams) / 2 here."""
+    return pol.table.T @ pol.table / pol.table.shape[0]
 
 
 class TestConfig:
@@ -62,7 +60,7 @@ class TestNpgSgd:
 
     def test_converges_to_fisher_solve(self):
         pol = anisotropic_policy()
-        f = pol.fisher()
+        f = fisher(pol)
         rng = substream(1, "subproblem")
         u = np.array([0.5, -0.25, 1.0, 0.1])
         w_hat = np.linalg.solve(f, u)
@@ -74,7 +72,7 @@ class TestNpgSgd:
     def test_error_halves_when_iters_double(self):
         # 1/K rate: quadruple K => error about a quarter (allow [2.5, 7]x)
         pol = anisotropic_policy()
-        f = pol.fisher()
+        f = fisher(pol)
         u = np.array([1.0, 0.3, -0.6, 0.2])
         w_hat = np.linalg.solve(f, u)
 
@@ -95,7 +93,7 @@ class TestNpgSgd:
 
     def test_worst_case_bound_holds(self):
         pol = anisotropic_policy()
-        f = pol.fisher()
+        f = fisher(pol)
         u = np.array([0.7, -0.2, 0.4, 0.9])
         w_hat = np.linalg.solve(f, u)
         mu_f = 0.4  # min eigenvalue of diag(1, .8, .6, .4)
@@ -204,7 +202,7 @@ class TestNpgSgdPointMass:
 class TestAdam:
     def test_roughly_solves(self):
         pol = anisotropic_policy()
-        f = pol.fisher()
+        f = fisher(pol)
         u = np.array([0.5, -0.25, 1.0, 0.1])
         w_hat = np.linalg.solve(f, u)
         cfg = SubproblemConfig(kind="adam", n_iters=4000, adam_lr=0.01)
@@ -257,15 +255,9 @@ class TestBounds:
         expected = 4 * 2 * (math.sqrt(8) + 1) ** 2 / (100 * 0.4**3)
         assert averaged_sgd_error_bound(2.0, 0.4, 4, 100) == pytest.approx(expected)
 
-    def test_recommended_iters_hand_value(self):
-        expected = math.ceil(48 * 5.0**4 * (math.sqrt(8) + 1) ** 2)
-        assert recommended_subproblem_iters(5.0, 4) == expected
-
     def test_bound_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             averaged_sgd_error_bound(2.0, 0.0, 4, 100)
-        with pytest.raises(ValueError):
-            recommended_subproblem_iters(0.0, 4)
 
 
 @settings(max_examples=20, deadline=None)

@@ -18,14 +18,15 @@ from npghm.oracles import (
     exact_q,
     exact_return,
     exact_state_action_visitation,
+    exact_step_distributions,
     exact_truncated_gradient,
-    exact_truncated_return,
     exact_value,
     exact_visitation,
     lqr_optimal_return,
     lqr_riccati_fixed_point,
     lqr_riccati_residual,
     min_norm_compatible_w,
+    _reward_under,
     _score_table,
     optimal_return,
     performance_difference,
@@ -33,6 +34,17 @@ from npghm.oracles import (
 )
 from npghm.algorithms import auto_horizon
 from npghm.policies import TabularSoftmaxPolicy
+
+
+def exact_truncated_return(mdp, pi, horizon):
+    """J^H = E[sum_{h<H} gamma^h r_h] under the policy matrix pi: the
+    finite-difference reference for exact_truncated_gradient."""
+    mu = exact_step_distributions(mdp, pi, horizon)
+    r_pi = _reward_under(mdp, pi)
+    total = 0.0
+    for h in range(horizon):
+        total += mdp.gamma**h * float(np.dot(mu[h], r_pi))
+    return total
 
 
 def softmax(mdp, theta):
