@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .policies import TruncatedLinearGaussianPolicy
+from .policies import TabularSoftmaxPolicy, TruncatedLinearGaussianPolicy
 
 _ATOL = 1e-12
 
@@ -197,9 +197,8 @@ def sample_trajectory(env, policy, horizon: int, rng: np.random.Generator) -> Tr
     """Roll `policy` for `horizon` steps from the initial distribution."""
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    if isinstance(env, TabularMdp):
+    if _is_tabular_pair(env, policy):
         return _sample_tabular(env, policy, horizon, rng)
-    _check_pointmass_pair(env, policy)
     states, actions, rewards = _gaussian_walk(env, policy, horizon, False, rng)
     return Trajectory(
         states=np.array(states, dtype=float),
@@ -260,9 +259,7 @@ def sample_state_action(env, policy, rng: np.random.Generator):
     on a PointMassEnv they take 2h+1 normals in one rng.standard_normal call
     (plus one per rejected action normal).
     """
-    tabular = isinstance(env, TabularMdp)
-    if not tabular:
-        _check_pointmass_pair(env, policy)
+    tabular = _is_tabular_pair(env, policy)
     gamma = env.gamma
     if gamma == 0.0:
         h = 0
@@ -280,13 +277,24 @@ def sample_state_action(env, policy, rng: np.random.Generator):
     return states[-1], actions[-1]
 
 
-def _check_pointmass_pair(env, policy) -> None:
-    if not (isinstance(env, PointMassEnv) and isinstance(policy, TruncatedLinearGaussianPolicy)):
-        raise TypeError(
-            f"no sampler for {type(env).__name__} with {type(policy).__name__}; "
-            "use a TabularMdp with a softmax policy, or a PointMassEnv with a "
-            "truncated linear-Gaussian policy"
-        )
+def _is_tabular_pair(env, policy) -> bool:
+    """True for a TabularMdp with a softmax of its shape, False for a
+    PointMassEnv with the truncated Gaussian; raises on any other pair."""
+    if isinstance(env, TabularMdp) and isinstance(policy, TabularSoftmaxPolicy):
+        s_count, a_count, _ = env.transition.shape
+        if s_count != policy.n_states or a_count != policy.n_actions:
+            raise ValueError(
+                f"softmax policy of shape {(policy.n_states, policy.n_actions)} "
+                f"on an MDP of shape {(s_count, a_count)}"
+            )
+        return True
+    if isinstance(env, PointMassEnv) and isinstance(policy, TruncatedLinearGaussianPolicy):
+        return False
+    raise TypeError(
+        f"no sampler for {type(env).__name__} with {type(policy).__name__}; "
+        "use a TabularMdp with a softmax policy, or a PointMassEnv with a "
+        "truncated linear-Gaussian policy"
+    )
 
 
 def _gaussian_walk(env: PointMassEnv, policy, horizon: int, last_action: bool, rng):

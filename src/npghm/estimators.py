@@ -82,12 +82,12 @@ def log_importance_weight(
     """
     total = 0.0
     for s, a in zip(traj.states[:-1], traj.actions):
-        lp_den = policy_den.log_prob_safe(s, a)
+        lp_den = policy_den.log_prob(s, a)
         if math.isinf(lp_den):
             raise PolicySupportError(
                 f"sampling policy has zero density at (s={s}, a={a})"
             )
-        lp_num = policy_num.log_prob_safe(s, a)
+        lp_num = policy_num.log_prob(s, a)
         if math.isinf(lp_num):
             return -math.inf
         total += lp_num - lp_den

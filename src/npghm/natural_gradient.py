@@ -123,8 +123,8 @@ def adam_subsolver(
     cfg: SubproblemConfig,
     w0: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Adam on the same stochastic least-squares gradient; returns the final
-    iterate (practical small-budget alternative, default K=10, lr=1e-3)."""
+    """Adam on the same stochastic least-squares gradient, cfg.n_iters steps
+    at step size cfg.adam_lr; returns the final iterate."""
     u = np.asarray(u, dtype=float)
     w = np.zeros_like(u) if w0 is None else np.array(w0, dtype=float)
     m = np.zeros_like(w)

@@ -1,11 +1,12 @@
 """Differentiable stochastic policies.
 
-Every policy exposes the same surface: log_prob / score (the gradient of
-log pi at one state-action pair) / log_density_hvp (Hessian of log pi times
-a vector) / sample_action, plus declared curvature bounds m_g (sup of
-||score||^2) and m_h (sup of the Hessian spectral norm). Parameters live in
-one flat float64 vector and policies are immutable; with_params returns a
-new instance.
+Every policy exposes the same surface: log_prob (-inf where the density is
+zero) / score (its gradient) / sample_action at one state-action pair, the
+weighted sums score_sum and hvp_sum (of scores, and of log-density Hessians
+times a vector) over a batch of pairs, plus declared curvature bounds m_g
+(sup of ||score||^2) and m_h (sup of the Hessian spectral norm). Parameters
+live in one flat float64 vector and policies are immutable; with_params
+returns a new instance.
 """
 from __future__ import annotations
 
@@ -20,26 +21,8 @@ from scipy.special import erf
 _HEADER_MAGIC = "npghm-policy v1"
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis."""
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-class Policy:
-    """Shared base of the concrete policies."""
-
-    def log_prob_safe(self, s, a) -> float:
-        """log_prob, but -inf instead of a domain error outside support."""
-        try:
-            return self.log_prob(s, a)
-        except ValueError:
-            return -math.inf
-
-
 @dataclass(frozen=True)
-class TabularSoftmaxPolicy(Policy):
+class TabularSoftmaxPolicy:
     """pi(a|s) = softmax over theta[s, :]; parameters are the flat logits.
 
     score(s, a) is supported on block s and equals e_a - pi(.|s), so
@@ -79,14 +62,13 @@ class TabularSoftmaxPolicy(Policy):
     def m_h(self) -> float:
         return 0.5
 
-    @property
-    def logits(self) -> np.ndarray:
-        return self.theta.reshape(self.n_states, self.n_actions)
-
     def probs_matrix(self) -> np.ndarray:
+        """Row s is pi(.|s), the softmax of theta[s, :]; built lazily once."""
         cached = getattr(self, "_probs", None)
         if cached is None:
-            cached = _softmax_rows(self.logits)
+            logits = self.theta.reshape(self.n_states, self.n_actions)
+            e = np.exp(logits - logits.max(axis=1, keepdims=True))
+            cached = e / e.sum(axis=1, keepdims=True)
             object.__setattr__(self, "_probs", cached)
         return cached
 
@@ -113,14 +95,6 @@ class TabularSoftmaxPolicy(Policy):
         block = slice(s * self.n_actions, (s + 1) * self.n_actions)
         out[block] = -self.probs_matrix()[s]
         out[s * self.n_actions + a] += 1.0
-        return out
-
-    def log_density_hvp(self, s: int, a: int, x: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.dim)
-        block = slice(s * self.n_actions, (s + 1) * self.n_actions)
-        p = self.probs_matrix()[s]
-        xs = np.asarray(x, dtype=float)[block]
-        out[block] = -(p * xs - p * np.dot(p, xs))
         return out
 
     def sample_action(self, s: int, rng: np.random.Generator) -> int:
@@ -164,17 +138,13 @@ class PointMassFeatures:
     def dim(self) -> int:
         return 2
 
-    def __call__(self, s) -> np.ndarray:
-        z = min(max(float(s), -self.state_radius), self.state_radius)
-        return np.array([z / self.state_radius, 1.0]) / math.sqrt(2.0)
-
     def batch(self, states) -> np.ndarray:
         z = np.clip(np.asarray(states, dtype=float), -self.state_radius, self.state_radius)
         return np.stack([z / self.state_radius, np.ones_like(z)], axis=1) / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
-class TruncatedLinearGaussianPolicy(Policy):
+class TruncatedLinearGaussianPolicy:
     """Gaussian N(theta . phi(s), sigma^2) truncated to a +-trunc_c sigma
     window around its own mean.
 
@@ -223,23 +193,25 @@ class TruncatedLinearGaussianPolicy(Policy):
     def with_params(self, theta: np.ndarray) -> "TruncatedLinearGaussianPolicy":
         return replace(self, theta=np.asarray(theta, dtype=float))
 
-    def mean(self, s) -> float:
-        """theta . phi(s), written on floats as theta0 (clip(s)/R)/sqrt(2) +
-        theta1 (1/sqrt(2)), the formula the pointmass walk in envs and
-        npg_sgd inline (np.dot can fuse the multiply-add, as AVX-512
+    def _phi(self, s) -> tuple[float, float]:
+        """phi(s) on floats, ((clip(s)/R)/sqrt(2), 1/sqrt(2)). The mean
+        theta0 phi0 + theta1 phi1 is the formula the pointmass walk in envs
+        and npg_sgd inline (np.dot can fuse the multiply-add, as AVX-512
         OpenBLAS does, and round differently)."""
-        t0, t1 = self.theta.tolist()
         r, root2 = self.features.state_radius, math.sqrt(2.0)
         x = min(max(float(s), -r), r)
-        return t0 * ((x / r) / root2) + t1 * (1.0 / root2)
+        return (x / r) / root2, 1.0 / root2
+
+    def mean(self, s) -> float:
+        t0, t1 = self.theta.tolist()
+        phi0, phi1 = self._phi(s)
+        return t0 * phi0 + t1 * phi1
 
     def log_prob(self, s, a) -> float:
+        """-inf outside the truncation window (with 1e-12 relative slack)."""
         z = (float(a) - self.mean(s)) / self.sigma
         if abs(z) > self.trunc_c * (1.0 + 1e-12):
-            raise ValueError(
-                f"action {a} outside truncated support (|z| = {abs(z):.6g} "
-                f"> {self.trunc_c})"
-            )
+            return -math.inf
         return (
             -0.5 * math.log(2.0 * math.pi * self.sigma**2)
             - 0.5 * z * z
@@ -247,11 +219,9 @@ class TruncatedLinearGaussianPolicy(Policy):
         )
 
     def score(self, s, a) -> np.ndarray:
-        return ((float(a) - self.mean(s)) / self.sigma**2) * self.features(s)
-
-    def log_density_hvp(self, s, a, x) -> np.ndarray:
-        phi = self.features(s)
-        return -(np.dot(phi, np.asarray(x, dtype=float)) / self.sigma**2) * phi
+        phi0, phi1 = self._phi(s)
+        coef = (float(a) - self.mean(s)) / self.sigma**2
+        return np.array([coef * phi0, coef * phi1])
 
     def sample_action(self, s, rng: np.random.Generator) -> float:
         z = rng.standard_normal()
@@ -271,6 +241,9 @@ class TruncatedLinearGaussianPolicy(Policy):
         return -(np.asarray(weights, dtype=float) * proj) @ phi
 
 
+Policy = TabularSoftmaxPolicy | TruncatedLinearGaussianPolicy
+
+
 # ---------------------------------------------------------------------------
 # Measured curvature bounds
 # ---------------------------------------------------------------------------
@@ -284,22 +257,6 @@ class MeasuredBounds:
     mu_f_hat: float
 
 
-def _spectral_norm(policy: Policy, s, a, iters: int = 60) -> float:
-    d = policy.dim
-    x = np.ones(d) / math.sqrt(d)
-    x[0] += 1e-3  # break symmetry against exactly orthogonal starts
-    x /= np.linalg.norm(x)
-    lam = 0.0
-    for _ in range(iters):
-        y = policy.log_density_hvp(s, a, x)
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            return 0.0
-        lam = ny
-        x = y / ny
-    return float(lam)
-
-
 def empirical_fisher(scores) -> np.ndarray:
     """Mean of g g^T over a nonempty list of score vectors, summed in order."""
     fisher = np.zeros((len(scores[0]), len(scores[0])))
@@ -310,13 +267,18 @@ def empirical_fisher(scores) -> np.ndarray:
 
 def measured_bounds(policy: Policy, samples: Sequence[tuple]) -> MeasuredBounds:
     """Max ||score||^2, max Hessian spectral norm, and the minimum eigenvalue
-    of the empirical Fisher matrix over the given (state, action) sample."""
+    of the empirical Fisher matrix over the given (state, action) sample. Each
+    pair's d x d Hessian is built exactly, one hvp_sum per basis vector."""
     samples = list(samples)
     if not samples:
         raise ValueError("need at least one (state, action) sample")
     scores = [policy.score(s, a) for s, a in samples]
     m_g_hat = max(float(np.dot(g, g)) for g in scores)
-    m_h_hat = max(_spectral_norm(policy, s, a) for s, a in samples)
+    eye = np.eye(policy.dim)
+    m_h_hat = max(
+        float(np.linalg.norm([policy.hvp_sum([s], [a], [1.0], e) for e in eye], 2))
+        for s, a in samples
+    )
     mu_f_hat = float(np.linalg.eigvalsh(empirical_fisher(scores))[0])
     return MeasuredBounds(m_g_hat=m_g_hat, m_h_hat=m_h_hat, mu_f_hat=mu_f_hat)
 

@@ -187,7 +187,7 @@ def _hvp_fd_error(pol, s, a, x, eps: float = 1e-6) -> float:
         pol.with_params(pol.theta + eps * x).score(s, a)
         - pol.with_params(pol.theta - eps * x).score(s, a)
     ) / (2 * eps)
-    return _rel_err(fd, pol.log_density_hvp(s, a, x))
+    return _rel_err(fd, pol.hvp_sum([s], [a], [1.0], x))
 
 
 def check_policy_hvp_fd(seed: int) -> CheckResult:
@@ -195,7 +195,7 @@ def check_policy_hvp_fd(seed: int) -> CheckResult:
     worst = max(_hvp_fd_error(pol, s, a, rng.standard_normal(pol.dim)) for pol, s, a in _fd_cases(rng))
     return _result(
         "policy", "hvp_finite_difference",
-        "FD of score along x matches log_density_hvp (relative), softmax and pointmass Gaussian",
+        "FD of score along x matches hvp_sum on the one pair (relative), softmax and pointmass Gaussian",
         1e-5, worst,
     )
 

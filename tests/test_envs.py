@@ -361,7 +361,7 @@ class TestPointMass:
             return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
 
         # the scalar clips agree with np.clip on NaN, infinities and signed zero
-        feats = PointMassFeatures(env.state_radius)
+        pol = gaussian(env, [0.0, 0.0])
         rad = env.state_radius
         for s in (math.nan, math.inf, -math.inf, -0.0, 0.0, 1.5, -7.0):
             for a in (-0.0, 0.0, math.nan, 3.0):
@@ -371,7 +371,7 @@ class TestPointMass:
                 raw_s = env.a_dyn * s + env.b_dyn * a + env.noise_std * z
                 assert same(r, float(np.clip(raw_r, -1.0, 1.0)))
                 assert same(s_next, float(np.clip(raw_s, -rad, rad)))
-            phi = feats(s)
+            phi = pol._phi(s)
             assert same(phi[0], float(np.clip(s, -rad, rad)) / rad / math.sqrt(2.0))
             assert phi[1] == 1.0 / math.sqrt(2.0)
         # the float walk clips as step and the features do, from the same
@@ -387,13 +387,22 @@ class TestPointMass:
                 assert len(got) == len(want) and all(map(same, got, want))
 
     def test_samplers_reject_other_policies(self):
-        pol = TabularSoftmaxPolicy.zeros(1, 2)
-        rng = substream(0, "trajectory")
-        with pytest.raises(TypeError, match="no sampler"):
-            sample_trajectory(pointmass(), pol, 3, rng)
-        with pytest.raises(TypeError, match="no sampler"):
-            sample_state_action(pointmass(), pol, rng)
-        assert rng.random() == substream(0, "trajectory").random()  # no draw
+        # every pair but (TabularMdp, softmax of its shape) and (PointMassEnv,
+        # truncated Gaussian) is refused before any draw
+        mdp = chain(4)
+        cases = [
+            (pointmass(), TabularSoftmaxPolicy.zeros(1, 2), TypeError, "no sampler"),
+            (mdp, gaussian(pointmass(), [0.0, 0.0]), TypeError, "no sampler"),
+            (mdp, TabularSoftmaxPolicy.zeros(3, 2), ValueError, r"\(3, 2\).*\(4, 2\)"),
+            (mdp, TabularSoftmaxPolicy.zeros(4, 3), ValueError, r"\(4, 3\).*\(4, 2\)"),
+        ]
+        for env, pol, error, message in cases:
+            rng = substream(0, "trajectory")
+            with pytest.raises(error, match=message):
+                sample_trajectory(env, pol, 3, rng)
+            with pytest.raises(error, match=message):
+                sample_state_action(env, pol, rng)
+            assert rng.random() == substream(0, "trajectory").random()  # no draw
 
     def test_rejects_invalid_parameters(self):
         with pytest.raises(ValueError):

@@ -75,12 +75,13 @@ class TestSoftmax:
             assert np.abs(fd - g).max() < 1e-6
 
     def test_hvp_finite_difference(self):
+        # hvp_sum on one pair with unit weight is the Hessian of log pi(a|s) @ x
         pol = random_softmax(2, 3, seed=5)
         rng = np.random.default_rng(6)
         x = rng.standard_normal(pol.dim)
         eps = 1e-6
         for s, a in [(0, 0), (1, 2)]:
-            hx = pol.log_density_hvp(s, a, x)
+            hx = pol.hvp_sum([s], [a], [1.0], x)
             fd = (
                 pol.with_params(pol.theta + eps * x).score(s, a)
                 - pol.with_params(pol.theta - eps * x).score(s, a)
@@ -91,7 +92,7 @@ class TestSoftmax:
         # the softmax log-density Hessian does not depend on the action
         pol = random_softmax(2, 3, seed=7)
         x = np.arange(6, dtype=float)
-        assert np.allclose(pol.log_density_hvp(0, 0, x), pol.log_density_hvp(0, 2, x))
+        assert np.array_equal(pol.hvp_sum([0], [0], [1.0], x), pol.hvp_sum([0], [2], [1.0], x))
 
     def test_constants(self):
         pol = random_softmax(2, 2, seed=8)
@@ -116,7 +117,12 @@ class TestSoftmax:
         weights = rng.standard_normal(30)
         x = rng.standard_normal(pol.dim)
         fast = pol.hvp_sum(states, actions, weights, x)
-        slow = sum(w * pol.log_density_hvp(s, a, x) for s, a, w in zip(states, actions, weights))
+        # the Hessian of log pi(.|s) is -(diag(pi_s) - pi_s pi_s^T) on block s
+        slow = np.zeros(pol.dim)
+        for s, w in zip(states, weights):
+            p = pol.probs_matrix()[s]
+            block = slice(3 * s, 3 * s + 3)
+            slow[block] -= w * (np.diag(p) - np.outer(p, p)) @ x[block]
         assert np.allclose(fast, slow, atol=1e-12)
 
     def test_sample_action_law(self):
@@ -134,17 +140,18 @@ class TestTruncatedGaussian:
         pol = gaussian_policy(theta=[0.5, -0.25])
         feats = pol.features
         s = 1.2
-        assert pol.mean(s) == pytest.approx(float(np.dot([0.5, -0.25], feats(s))))
+        assert pol.mean(s) == pytest.approx(float(np.dot([0.5, -0.25], feats.batch([s])[0])))
         # on PointMassFeatures the mean is the plain-float sum, two roundings,
         # which np.dot's fused multiply-add can miss by an ulp
         rng = np.random.default_rng(3)
         for theta in rng.standard_normal((200, 2)) * 3.0:
             pol = gaussian_policy(theta=theta)
             for s in (*(rng.standard_normal(5) * 2.0), 2.0, -2.0, 7.5, -0.0):
-                phi0, phi1 = pol.features(s).tolist()
+                phi = pol.features.batch([s])[0]
+                phi0, phi1 = phi.tolist()
                 mu = pol.mean(s)
                 assert mu == theta[0] * phi0 + theta[1] * phi1
-                assert abs(mu - float(np.dot(theta, pol.features(s)))) <= 2 * math.ulp(abs(mu) + 1.0)
+                assert abs(mu - float(np.dot(theta, phi))) <= 2 * math.ulp(abs(mu) + 1.0)
 
     def test_log_prob_normalizes(self):
         # integrate exp(log_prob) over the support
@@ -157,17 +164,26 @@ class TestTruncatedGaussian:
         total, _ = quad(lambda a: math.exp(pol.log_prob(s, a)), lo, hi, limit=200)
         assert total == pytest.approx(1.0, abs=1e-8)
 
-    def test_log_prob_raises_outside_support(self):
+    def test_log_prob_is_minus_inf_outside_support(self):
         pol = gaussian_policy(theta=[0.0, 0.0], sigma=0.5, trunc_c=2.0)
-        with pytest.raises(ValueError):
-            pol.log_prob(0.0, 1.5)  # 3 sigma out
+        assert pol.log_prob(0.0, 1.5) == -math.inf  # 3 sigma out
+        assert pol.log_prob(0.0, -1.5) == -math.inf
+        assert math.isfinite(pol.log_prob(0.0, 1.0))  # on the window's edge
 
     def test_score_formula(self):
         pol = gaussian_policy(theta=[0.4, -0.2], sigma=0.6, trunc_c=3.0)
         s, a = 0.9, 0.3
-        phi = pol.features(s)
+        phi = pol.features.batch([s])[0]
         expected = (a - pol.mean(s)) / pol.sigma**2 * phi
         assert np.allclose(pol.score(s, a), expected)
+        # bitwise: the float score is the coefficient times the feature row
+        rng = np.random.default_rng(4)
+        for theta in rng.standard_normal((200, 2)) * 3.0:
+            pol = gaussian_policy(theta=theta, sigma=0.6)
+            for s in (*(rng.standard_normal(5) * 2.0), 2.0, -7.5, -0.0):
+                a = pol.sample_action(s, rng)
+                coef = (float(a) - pol.mean(s)) / pol.sigma**2
+                assert np.array_equal(pol.score(s, a), coef * pol.features.batch([s])[0])
 
     def test_normalizer_is_theta_independent(self):
         # same truncation mass for any mean: erf(c / sqrt 2)
@@ -203,7 +219,7 @@ class TestTruncatedGaussian:
         s = 0.8
         n = 40_000
         draws = np.array([pol.sample_action(s, rng) for _ in range(n)])
-        phi = pol.features(s)
+        phi = pol.features.batch([s])[0]
         scores = (draws - pol.mean(s))[:, None] / pol.sigma**2 * phi[None, :]
         se = scores.std(axis=0) / math.sqrt(n)
         assert np.all(np.abs(scores.mean(axis=0)) < 4 * se + 1e-12)
@@ -228,6 +244,25 @@ class TestMeasuredBounds:
         samples = [(s, pol.sample_action(s, rng)) for s in (r, -r) * 300]
         mb = measured_bounds(pol, samples)
         assert mb.mu_f_hat == pytest.approx(0.5 / 0.5**2, rel=0.2)
+
+    def test_m_h_hat_is_exact_hessian_norm(self):
+        # softmax: the Hessian of log pi(a|s) is -(diag(pi_s) - pi_s pi_s^T)
+        # on block s, so m_h_hat is that covariance's top eigenvalue, maxed
+        # over the sampled states; pi_0 is near uniform, where its top two
+        # eigenvalues nearly tie
+        pol = TabularSoftmaxPolicy(2, 3, np.array([0.0, 0.02, -0.03, 1.0, -0.5, 0.2]))
+        top = [
+            np.linalg.eigvalsh(np.diag(p) - np.outer(p, p))[-1] for p in pol.probs_matrix()
+        ]
+        for s, a in [(0, 1), (1, 2), (0, 0)]:
+            assert measured_bounds(pol, [(s, a)]).m_h_hat == pytest.approx(top[s], rel=1e-12)
+        assert measured_bounds(pol, [(0, 1), (1, 2)]).m_h_hat == pytest.approx(max(top), rel=1e-12)
+        # Gaussian: the Hessian is -phi(s) phi(s)^T / sigma^2, of norm |phi(s)|^2 / sigma^2
+        gauss = gaussian_policy(theta=[0.3, -0.7], sigma=0.4, trunc_c=3.0)
+        for s in (0.25, -1.7, 5.0):
+            phi = gauss.features.batch([s])[0]
+            mb = measured_bounds(gauss, [(s, gauss.mean(s))])
+            assert mb.m_h_hat == pytest.approx(float(phi @ phi) / 0.4**2, rel=1e-12)
 
 
 class TestSerialization:
@@ -285,6 +320,6 @@ def test_gaussian_score_points_toward_action(theta0, theta1, a_off):
     mu = pol.mean(s)
     a = mu + a_off
     g = pol.score(s, a)
-    phi = pol.features(s)
+    phi = pol.features.batch([s])[0]
     # moving theta along the score raises the density of the observed action
     assert np.dot(g, phi) * (a - mu) >= 0
