@@ -11,7 +11,7 @@ from npghm.algorithms import RunConfig, train
 from npghm.envs import pointmass
 from npghm.natural_gradient import SubproblemConfig
 from npghm.oracles import lqr_optimal_return, lqr_riccati_fixed_point, lqr_riccati_residual
-from npghm.policies import PointMassFeatures, TruncatedLinearGaussianPolicy
+from npghm.policies import TruncatedLinearGaussianPolicy
 
 
 def main() -> None:
@@ -22,8 +22,7 @@ def main() -> None:
     print(f"  Riccati fixed point P = {p:.4f} (residual {lqr_riccati_residual(env, p):.1e})")
     print(f"  unclipped-optimum reference return = {j_ref:.4f}")
 
-    feats = PointMassFeatures(env.state_radius)
-    pol = TruncatedLinearGaussianPolicy(feats, np.zeros(feats.dim), sigma=0.5, trunc_c=3.0)
+    pol = TruncatedLinearGaussianPolicy(env.state_radius, np.zeros(2), sigma=0.5, trunc_c=3.0)
     cfg = RunConfig(
         big_t=80, alpha0=0.05, tau0=20.0, seed=1,
         eval_interval=20, eval_trajectories=300,

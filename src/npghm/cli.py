@@ -11,7 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import harness, verify
+from . import harness
 from .harness import ConfigError
 
 
@@ -77,6 +77,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify  # loads scipy.stats, which no other command needs
+
     only = [g.strip() for g in args.only.split(",") if g.strip()] if args.only else None
     if only == [] or set(only or ()) - set(verify.CHECKS):
         raise ConfigError(f"--only must list check groups from {sorted(verify.CHECKS)}, got {args.only!r}")

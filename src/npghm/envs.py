@@ -5,23 +5,20 @@ Conventions: a trajectory of horizon H stores H+1 states, H actions, H
 rewards; rewards are stored exactly as sampled (post-clip) and are never
 re-derived by downstream estimators; all rewards live in [-1, 1].
 
-Draw contract: a tabular rollout of horizon H consumes exactly 2H+1
-uniforms from its Generator in one rng.random call, first one for the
-initial state, then one (action, next state) pair per step. A tabular
-sample_state_action first draws h (rng.geometric, redrawn above the cap;
-no draw at gamma = 0), then takes 2h+2 uniforms in one rng.random call:
-the rollout's 2h+1, then one for the returned action. Every inverse-CDF
-draw picks the first index whose cumulative probability exceeds u
-(searchsorted side="right"), clamped to the last index.
-
-A pointmass rollout of horizon H under the truncated linear-Gaussian policy
-takes 2H standard normals in one rng.standard_normal call, one (action,
-noise) pair per step, plus one more scalar draw after the block for each
-action normal rejected with |z| > trunc_c. A pointmass sample_state_action
-draws h as above, then takes 2h+1 normals in one call (the rollout's 2h and
-one for the returned action), plus one per rejection. The block and the
-scalar draws read the stream in the order the per-step sample_action and
-step calls would, so the values and the next draw are the same.
+Draw contract: sample_trajectory runs one walk of H steps; sample_state_action
+first draws h (rng.geometric, redrawn above the cap; no draw at gamma = 0),
+then one walk of h steps with last_action set, which draws one more action
+at the final state. A tabular walk takes its 2H+1+last_action uniforms in
+one rng.random call: one for the initial state, one (action, next state)
+pair per step, then the last action's. Every inverse-CDF draw picks the
+first index whose cumulative probability exceeds u (searchsorted
+side="right"), clamped to the last index. A pointmass walk under the
+truncated linear-Gaussian policy takes its 2H+last_action normals in one
+rng.standard_normal call, one (action, noise) pair per step, then the last
+action's, plus one scalar draw after the block per action normal rejected
+with |z| > trunc_c. Both walks read the stream in the order the per-step
+initial_state, sample_action and step calls would, so the values and the
+next draw are the same.
 """
 from __future__ import annotations
 
@@ -197,39 +194,65 @@ def sample_trajectory(env, policy, horizon: int, rng: np.random.Generator) -> Tr
     """Roll `policy` for `horizon` steps from the initial distribution."""
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    if _is_tabular_pair(env, policy):
-        return _sample_tabular(env, policy, horizon, rng)
-    states, actions, rewards = _gaussian_walk(env, policy, horizon, False, rng)
+    walk, dtype = _walk_for(env, policy)
+    states, actions, rewards = walk(env, policy, horizon, False, rng)
     return Trajectory(
-        states=np.array(states, dtype=float),
-        actions=np.array(actions, dtype=float),
+        states=np.array(states, dtype=dtype),
+        actions=np.array(actions, dtype=dtype),
         rewards=np.array(rewards, dtype=float),
     )
 
 
-def _sample_tabular(mdp: TabularMdp, policy, horizon: int, rng) -> Trajectory:
-    """sample_trajectory for a softmax policy on a tabular MDP: one
-    rng.random(2H+1) call, then _walk."""
-    states, actions, rewards = _walk(mdp, policy, rng.random(2 * horizon + 1).tolist())
-    return Trajectory(
-        states=np.array(states, dtype=np.int64),
-        actions=np.array(actions, dtype=np.int64),
-        rewards=np.array(rewards, dtype=float),
-    )
+def sample_state_action(env, policy, rng: np.random.Generator):
+    """One (s, a) draw from the discounted state-action visitation.
 
-
-def _walk(mdp: TabularMdp, policy, u: list) -> tuple[list, list, list]:
-    """Plain-Python rollout over the list tables under the uniforms u.
-
-    u[0] draws the initial state, then each pair (u[2k+1], u[2k+2]) one
-    action and next state; a trailing unpaired uniform is not read. Draws
-    and indices equal those of initial_state, then sample_action and step
-    per step. Returns the visited states, actions and rewards as lists.
+    h ~ Geom(1-gamma) (so P(h=k) = (1-gamma) gamma^k), the policy is rolled
+    h steps, and (s_h, a_h) with a_h ~ pi(.|s_h) is returned. Draws of h
+    above geometric_cap(gamma) are redrawn.
     """
+    walk, _ = _walk_for(env, policy)
+    gamma = env.gamma
+    if gamma == 0.0:
+        h = 0
+    else:
+        cap = geometric_cap(gamma)
+        h = int(rng.geometric(1.0 - gamma)) - 1
+        while h > cap:
+            h = int(rng.geometric(1.0 - gamma)) - 1
+    states, actions, _ = walk(env, policy, h, True, rng)
+    return states[-1], actions[-1]
+
+
+def _walk_for(env, policy):
+    """The walk for (env, policy) and the dtype of its states and actions:
+    a TabularMdp with a softmax of its shape, or a PointMassEnv with the
+    truncated Gaussian. Raises on any other pair before any draw."""
+    if isinstance(env, TabularMdp) and isinstance(policy, TabularSoftmaxPolicy):
+        s_count, a_count, _ = env.transition.shape
+        if s_count != policy.n_states or a_count != policy.n_actions:
+            raise ValueError(
+                f"softmax policy of shape {(policy.n_states, policy.n_actions)} "
+                f"on an MDP of shape {(s_count, a_count)}"
+            )
+        return _tabular_walk, np.int64
+    if isinstance(env, PointMassEnv) and isinstance(policy, TruncatedLinearGaussianPolicy):
+        return _gaussian_walk, float
+    raise TypeError(
+        f"no sampler for {type(env).__name__} with {type(policy).__name__}; "
+        "use a TabularMdp with a softmax policy, or a PointMassEnv with a "
+        "truncated linear-Gaussian policy"
+    )
+
+
+def _tabular_walk(mdp: TabularMdp, policy, horizon: int, last_action: bool, rng):
+    """Plain-Python rollout of a softmax policy on the list tables of a
+    TabularMdp, with the draws of the Draw contract. Returns the visited
+    states, actions (one more with last_action) and rewards as lists."""
     cum_rho, cum_p, reward = mdp._tables()
     cum_pi = policy._cum_probs()
     last_s, last_a = mdp.n_states - 1, policy.n_actions - 1
     bisect_right = bisect.bisect_right
+    u = rng.random(2 * horizon + 1 + last_action).tolist()
     s = min(bisect_right(cum_rho, u[0]), last_s)
     states = [s]
     actions = []
@@ -246,72 +269,21 @@ def _walk(mdp: TabularMdp, policy, u: list) -> tuple[list, list, list]:
         rewards.append(reward[s][a][s2])
         states.append(s2)
         s = s2
+    if last_action:
+        actions.append(min(bisect_right(cum_pi[s], u[-1]), last_a))
     return states, actions, rewards
-
-
-def sample_state_action(env, policy, rng: np.random.Generator):
-    """One (s, a) draw from the discounted state-action visitation.
-
-    h ~ Geom(1-gamma) (so P(h=k) = (1-gamma) gamma^k), the policy is rolled
-    h steps, and (s_h, a_h) with a_h ~ pi(.|s_h) is returned. Draws of h
-    above geometric_cap(gamma) are redrawn. On a tabular MDP the rollout
-    and the final action take their 2h+2 uniforms in one rng.random call;
-    on a PointMassEnv they take 2h+1 normals in one rng.standard_normal call
-    (plus one per rejected action normal).
-    """
-    tabular = _is_tabular_pair(env, policy)
-    gamma = env.gamma
-    if gamma == 0.0:
-        h = 0
-    else:
-        cap = geometric_cap(gamma)
-        h = int(rng.geometric(1.0 - gamma)) - 1
-        while h > cap:
-            h = int(rng.geometric(1.0 - gamma)) - 1
-    if tabular:
-        u = rng.random(2 * h + 2).tolist()
-        s = _walk(env, policy, u)[0][-1]
-        a = bisect.bisect_right(policy._cum_probs()[s], u[-1])
-        return s, min(a, policy.n_actions - 1)
-    states, actions, _ = _gaussian_walk(env, policy, h, True, rng)
-    return states[-1], actions[-1]
-
-
-def _is_tabular_pair(env, policy) -> bool:
-    """True for a TabularMdp with a softmax of its shape, False for a
-    PointMassEnv with the truncated Gaussian; raises on any other pair."""
-    if isinstance(env, TabularMdp) and isinstance(policy, TabularSoftmaxPolicy):
-        s_count, a_count, _ = env.transition.shape
-        if s_count != policy.n_states or a_count != policy.n_actions:
-            raise ValueError(
-                f"softmax policy of shape {(policy.n_states, policy.n_actions)} "
-                f"on an MDP of shape {(s_count, a_count)}"
-            )
-        return True
-    if isinstance(env, PointMassEnv) and isinstance(policy, TruncatedLinearGaussianPolicy):
-        return False
-    raise TypeError(
-        f"no sampler for {type(env).__name__} with {type(policy).__name__}; "
-        "use a TabularMdp with a softmax policy, or a PointMassEnv with a "
-        "truncated linear-Gaussian policy"
-    )
 
 
 def _gaussian_walk(env: PointMassEnv, policy, horizon: int, last_action: bool, rng):
     """Plain-float rollout of the truncated linear-Gaussian policy on a
-    PointMassEnv, with the draws of the Draw contract.
-
-    Runs `horizon` steps from init_state; with last_action, one more action
-    is drawn at the final state and appended to the actions. Each value
-    equals what initial_state, then sample_action and step per step return:
-    the mean is TruncatedLinearGaussianPolicy.mean's float formula and the
-    clips are those of min(max(x, lo), hi). Returns the visited states,
-    actions and rewards as lists.
-    """
+    PointMassEnv, with the draws of the Draw contract. The mean is
+    TruncatedLinearGaussianPolicy.mean's float formula and the clips are
+    those of min(max(x, lo), hi). Returns the visited states, actions (one
+    more with last_action) and rewards as lists."""
     t0, t1 = policy.theta.tolist()
     sigma, c = policy.sigma, policy.trunc_c
     root2 = math.sqrt(2.0)
-    feat_r = policy.features.state_radius
+    feat_r = policy.state_radius
     mean1 = t1 * (1.0 / root2)
     a_dyn, b_dyn, noise = env.a_dyn, env.b_dyn, env.noise_std
     q_s, q_a, scale = env.q_s, env.q_a, env.reward_scale

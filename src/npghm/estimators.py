@@ -97,7 +97,8 @@ def log_importance_weight(
 def importance_weight(
     traj: Trajectory, policy_num: Policy, policy_den: Policy
 ) -> float:
-    """exp of log_importance_weight, flagging weights above exp(30)."""
+    """exp of log_importance_weight, flagging weights above exp(30); inf
+    when the log weight is above the float range (about 709.78)."""
     lw = log_importance_weight(traj, policy_num, policy_den)
     if lw > LOG_WEIGHT_FLAG:
         warnings.warn(
@@ -105,7 +106,12 @@ def importance_weight(
             ImportanceWeightWarning,
             stacklevel=2,
         )
-    return math.exp(lw) if not math.isinf(lw) else 0.0
+    if math.isinf(lw):
+        return 0.0
+    try:
+        return math.exp(lw)
+    except OverflowError:
+        return math.inf
 
 
 def storm_step(fresh: np.ndarray, beta_t: float, carried: Callable[[], np.ndarray]) -> np.ndarray:

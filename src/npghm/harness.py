@@ -23,7 +23,6 @@ from .algorithms import ALGORITHMS, METHODS, NanAbortError, RunConfig, check_sol
 from .envs import PointMassEnv, TabularMdp, chain, load_mdp_text, pointmass, random_mdp
 from .natural_gradient import SubproblemConfig
 from .policies import (
-    PointMassFeatures,
     TabularSoftmaxPolicy,
     TruncatedLinearGaussianPolicy,
     save_policy,
@@ -67,8 +66,7 @@ def make_policy(env, **policy):
     if isinstance(env, TabularMdp):
         return TabularSoftmaxPolicy.zeros(env.n_states, env.n_actions)
     if isinstance(env, PointMassEnv):
-        feats = PointMassFeatures(env.state_radius)
-        return TruncatedLinearGaussianPolicy(feats, np.zeros(feats.dim), **policy)
+        return TruncatedLinearGaussianPolicy(env.state_radius, np.zeros(2), **policy)
     raise ConfigError(f"no default policy for environment {type(env).__name__}")
 
 

@@ -99,7 +99,7 @@ def _npg_sgd_pointmass(sampler, policy, u, eta: float, n_iters: int, w) -> np.nd
     w0, w1 = w.tolist()
     acc0, acc1 = w0, w1
     t0, t1 = policy.theta.tolist()
-    r, root2 = policy.features.state_radius, math.sqrt(2.0)
+    r, root2 = policy.state_radius, math.sqrt(2.0)
     phi1 = 1.0 / root2
     mean1 = t1 * phi1
     var = policy.sigma**2

@@ -6,7 +6,8 @@ weighted sums score_sum and hvp_sum (of scores, and of log-density Hessians
 times a vector) over a batch of pairs, plus declared curvature bounds m_g
 (sup of ||score||^2) and m_h (sup of the Hessian spectral norm). Parameters
 live in one flat float64 vector and policies are immutable; with_params
-returns a new instance.
+returns a new instance. The Gaussian's point-mass features are
+phi(s) = (clip(s)/R, 1)/sqrt(2) with R its state_radius, so ||phi(s)|| <= 1.
 """
 from __future__ import annotations
 
@@ -125,45 +126,29 @@ class TabularSoftmaxPolicy:
 
 
 @dataclass(frozen=True)
-class PointMassFeatures:
-    """phi(s) = (clip(s)/radius, 1)/sqrt(2); unit bound r_phi = 1."""
-
-    state_radius: float
-
-    @property
-    def r_phi(self) -> float:
-        return 1.0
-
-    @property
-    def dim(self) -> int:
-        return 2
-
-    def batch(self, states) -> np.ndarray:
-        z = np.clip(np.asarray(states, dtype=float), -self.state_radius, self.state_radius)
-        return np.stack([z / self.state_radius, np.ones_like(z)], axis=1) / math.sqrt(2.0)
-
-
-@dataclass(frozen=True)
 class TruncatedLinearGaussianPolicy:
-    """Gaussian N(theta . phi(s), sigma^2) truncated to a +-trunc_c sigma
-    window around its own mean.
+    """Gaussian N(theta . phi(s), sigma^2) on the point-mass features
+    phi(s) = (clip(s)/R, 1)/sqrt(2), R = state_radius, truncated to a
+    +-trunc_c sigma window around its own mean.
 
-    Because the window moves with the mean, the normalizer erf(c/sqrt(2)) is
-    independent of theta: the score is exactly (a - mu)/sigma^2 * phi(s) with
-    no truncation correction, so ||score|| <= (trunc_c/sigma) * r_phi and the
-    log-density Hessian is the constant -phi phi^T / sigma^2. trunc_c = inf
-    recovers the plain Gaussian.
+    ||phi(s)|| <= 1. Because the window moves with the mean, the normalizer
+    erf(c/sqrt(2)) is independent of theta: the score is exactly
+    (a - mu)/sigma^2 * phi(s) with no truncation correction, so
+    ||score|| <= trunc_c/sigma and the log-density Hessian is the constant
+    -phi phi^T / sigma^2. trunc_c = inf recovers the plain Gaussian.
     """
 
-    features: PointMassFeatures
+    state_radius: float
     theta: np.ndarray
     sigma: float = 0.5
     trunc_c: float = 3.0
 
     def __post_init__(self):
         th = np.asarray(self.theta, dtype=float).reshape(-1)
-        if th.size != self.features.dim:
-            raise ValueError(f"theta size {th.size} != feature dim {self.features.dim}")
+        if not 0 < self.state_radius < math.inf:
+            raise ValueError("state_radius must be positive and finite")
+        if th.size != 2:
+            raise ValueError(f"theta size {th.size} != feature dim 2")
         if not 0 < self.sigma < math.inf:
             raise ValueError("sigma must be positive and finite")
         if not self.trunc_c > 0:  # inf (no truncation) is allowed, NaN is not
@@ -172,17 +157,17 @@ class TruncatedLinearGaussianPolicy:
 
     @property
     def dim(self) -> int:
-        return self.theta.size
+        return 2
 
     @property
     def m_g(self) -> float:
         if math.isinf(self.trunc_c):
             return math.inf
-        return (self.trunc_c * self.features.r_phi / self.sigma) ** 2
+        return (self.trunc_c / self.sigma) ** 2
 
     @property
     def m_h(self) -> float:
-        return (self.features.r_phi / self.sigma) ** 2
+        return (1.0 / self.sigma) ** 2
 
     @property
     def _log_normalizer(self) -> float:
@@ -198,7 +183,7 @@ class TruncatedLinearGaussianPolicy:
         theta0 phi0 + theta1 phi1 is the formula the pointmass walk in envs
         and npg_sgd inline (np.dot can fuse the multiply-add, as AVX-512
         OpenBLAS does, and round differently)."""
-        r, root2 = self.features.state_radius, math.sqrt(2.0)
+        r, root2 = self.state_radius, math.sqrt(2.0)
         x = min(max(float(s), -r), r)
         return (x / r) / root2, 1.0 / root2
 
@@ -206,6 +191,12 @@ class TruncatedLinearGaussianPolicy:
         t0, t1 = self.theta.tolist()
         phi0, phi1 = self._phi(s)
         return t0 * phi0 + t1 * phi1
+
+    def _phi_rows(self, states) -> np.ndarray:
+        """phi of a batch of states, one row each, for the batch reductions."""
+        r = self.state_radius
+        z = np.clip(np.asarray(states, dtype=float), -r, r)
+        return np.stack([z / r, np.ones_like(z)], axis=1) / math.sqrt(2.0)
 
     def log_prob(self, s, a) -> float:
         """-inf outside the truncation window (with 1e-12 relative slack)."""
@@ -230,13 +221,13 @@ class TruncatedLinearGaussianPolicy:
         return self.mean(s) + self.sigma * z
 
     def score_sum(self, states, actions, weights) -> np.ndarray:
-        phi = self.features.batch(states)
+        phi = self._phi_rows(states)
         mu = phi @ self.theta
         coef = (np.asarray(actions, dtype=float) - mu) / self.sigma**2
         return (np.asarray(weights, dtype=float) * coef) @ phi
 
     def hvp_sum(self, states, actions, weights, x) -> np.ndarray:
-        phi = self.features.batch(states)
+        phi = self._phi_rows(states)
         proj = phi @ (np.asarray(x, dtype=float) / self.sigma**2)
         return -(np.asarray(weights, dtype=float) * proj) @ phi
 
@@ -306,9 +297,9 @@ def save_policy(policy: Policy, path) -> None:
         fh.write(np.ascontiguousarray(policy.theta, dtype="<f8").tobytes())
 
 
-def load_policy(path, features: PointMassFeatures | None = None) -> Policy:
-    """Inverse of save_policy; linear-Gaussian policies need their feature
-    map supplied (it is code, not data)."""
+def load_policy(path, state_radius: float | None = None) -> Policy:
+    """Inverse of save_policy; linear-Gaussian policies need the state_radius
+    of their features supplied (the header does not record it)."""
     with open(path, "rb") as fh:
         header = fh.readline().decode("ascii").strip()
         raw = fh.read()
@@ -325,10 +316,10 @@ def load_policy(path, features: PointMassFeatures | None = None) -> Policy:
             theta=theta,
         )
     if kind == "linear_gaussian":
-        if features is None:
-            raise ValueError("loading a linear_gaussian policy needs its feature map")
+        if state_radius is None:
+            raise ValueError("loading a linear_gaussian policy needs its state_radius")
         return TruncatedLinearGaussianPolicy(
-            features=features,
+            state_radius=state_radius,
             theta=theta,
             sigma=float(fields["sigma"]),
             trunc_c=float(fields["c"]),

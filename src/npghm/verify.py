@@ -132,9 +132,9 @@ def check_env_sampler_determinism(seed: int) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 def _gaussian(theta, sigma: float, trunc_c: float) -> policies.TruncatedLinearGaussianPolicy:
-    """Truncated linear-Gaussian policy on PointMassFeatures(2.0), the feature
-    map the pointmass runs train with."""
-    return policies.TruncatedLinearGaussianPolicy(policies.PointMassFeatures(2.0), theta, sigma, trunc_c)
+    """Truncated linear-Gaussian policy at state radius 2.0, the radius the
+    pointmass runs train with."""
+    return policies.TruncatedLinearGaussianPolicy(2.0, theta, sigma, trunc_c)
 
 
 def check_policy_score_zero_mean(seed: int) -> CheckResult:
@@ -231,7 +231,7 @@ def check_policy_measured_bounds(seed: int) -> CheckResult:
     # 1/(2 sigma^2).
     sigma = 0.5
     gauss = _gaussian(np.zeros(2), sigma=sigma, trunc_c=math.inf)
-    r = gauss.features.state_radius
+    r = gauss.state_radius
     gsamples = [(s, gauss.sample_action(s, rng)) for s in (r, -r) * 2000]
     gb = policies.measured_bounds(gauss, gsamples)
     rel = abs(gb.mu_f_hat - 0.5 / sigma**2) * 2.0 * sigma**2

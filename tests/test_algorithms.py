@@ -217,11 +217,10 @@ class TestEquivalences:
 class TestSolverPlumbing:
     def test_exact_solver_requires_tabular(self):
         from npghm.envs import pointmass
-        from npghm.policies import PointMassFeatures, TruncatedLinearGaussianPolicy
+        from npghm.policies import TruncatedLinearGaussianPolicy
 
         env = pointmass()
-        feats = PointMassFeatures(env.state_radius)
-        pol = TruncatedLinearGaussianPolicy(feats, np.zeros(2), sigma=0.5, trunc_c=3.0)
+        pol = TruncatedLinearGaussianPolicy(env.state_radius, np.zeros(2), sigma=0.5, trunc_c=3.0)
         cfg = RunConfig(big_t=3, alpha0=0.01, subproblem=SubproblemConfig(kind="exact"))
         with pytest.raises(ValueError, match="tabular"):
             train(env, pol, cfg, "npg-hm")
@@ -269,6 +268,20 @@ class TestNanAbort:
         assert err.t >= 1
         assert err.what in ("u", "w", "theta")
         assert isinstance(err.records, list)
+
+    def test_overflowing_importance_weight_aborts_mnpg(self, monkeypatch):
+        # a log weight above log(float max) makes the weight inf and mnpg's
+        # u non-finite: the run aborts at t = 2, its first corrected step
+        from npghm import estimators
+
+        monkeypatch.setattr(estimators, "log_importance_weight", lambda traj, num, den: 810.17)
+        cfg = RunConfig(big_t=6, alpha0=0.05, horizon=10, seed=0,
+                        subproblem=SubproblemConfig(kind="identity"))
+        with np.errstate(invalid="ignore"):
+            with pytest.warns(estimators.ImportanceWeightWarning):
+                with pytest.raises(NanAbortError) as info:
+                    train(chain(3), TabularSoftmaxPolicy.zeros(3, 2), cfg, "mnpg")
+        assert (info.value.t, info.value.what) == (2, "u")
 
 
 class TestConvergenceSmoke:

@@ -22,11 +22,7 @@ from npghm.envs import (
     sample_trajectory,
 )
 from npghm.oracles import exact_state_action_visitation, exact_visitation
-from npghm.policies import (
-    PointMassFeatures,
-    TabularSoftmaxPolicy,
-    TruncatedLinearGaussianPolicy,
-)
+from npghm.policies import TabularSoftmaxPolicy, TruncatedLinearGaussianPolicy
 from npghm.seeding import substream
 
 
@@ -70,10 +66,10 @@ class ReplayNormals:
 
 
 def gaussian(env, theta, sigma=0.5, trunc_c=3.0, radius=None):
-    """Truncated linear-Gaussian policy on PointMassFeatures (the env's clip
-    radius unless `radius` is given)."""
-    feats = PointMassFeatures(env.state_radius if radius is None else radius)
-    return TruncatedLinearGaussianPolicy(feats, np.array(theta, dtype=float), sigma, trunc_c)
+    """Truncated linear-Gaussian policy at the env's clip radius unless
+    `radius` is given."""
+    radius = env.state_radius if radius is None else radius
+    return TruncatedLinearGaussianPolicy(radius, np.array(theta, dtype=float), sigma, trunc_c)
 
 
 def method_walk(mdp, pol, horizon, rng):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from npghm.envs import Trajectory, chain, random_mdp, sample_trajectory
+from npghm.envs import Trajectory, bandit, chain, random_mdp, sample_trajectory
 from npghm.estimators import (
     ImportanceWeightWarning,
     PolicySupportError,
@@ -20,7 +20,7 @@ from npghm.estimators import (
     truncated_grad,
 )
 from npghm.oracles import exact_truncated_gradient
-from npghm.policies import PointMassFeatures, TabularSoftmaxPolicy, TruncatedLinearGaussianPolicy
+from npghm.policies import TabularSoftmaxPolicy, TruncatedLinearGaussianPolicy
 from npghm.seeding import substream
 
 
@@ -171,18 +171,16 @@ class TestImportanceWeights:
         assert log_importance_weight(traj, num, den) == pytest.approx(expected)
 
     def test_support_violation_raises(self):
-        feats = PointMassFeatures(2.0)
-        wide = TruncatedLinearGaussianPolicy(feats, np.zeros(2), sigma=0.5, trunc_c=3.0)
-        narrow = TruncatedLinearGaussianPolicy(feats, np.zeros(2), sigma=0.5, trunc_c=1.0)
+        wide = TruncatedLinearGaussianPolicy(2.0, np.zeros(2), sigma=0.5, trunc_c=3.0)
+        narrow = TruncatedLinearGaussianPolicy(2.0, np.zeros(2), sigma=0.5, trunc_c=1.0)
         # action at 2 sigma: inside wide's support, outside narrow's
         traj = Trajectory(states=np.array([0.0, 0.0]), actions=np.array([1.0]), rewards=np.zeros(1))
         with pytest.raises(PolicySupportError):
             log_importance_weight(traj, wide, narrow)
 
     def test_numerator_zero_gives_weight_zero(self):
-        feats = PointMassFeatures(2.0)
-        wide = TruncatedLinearGaussianPolicy(feats, np.zeros(2), sigma=0.5, trunc_c=3.0)
-        narrow = TruncatedLinearGaussianPolicy(feats, np.zeros(2), sigma=0.5, trunc_c=1.0)
+        wide = TruncatedLinearGaussianPolicy(2.0, np.zeros(2), sigma=0.5, trunc_c=3.0)
+        narrow = TruncatedLinearGaussianPolicy(2.0, np.zeros(2), sigma=0.5, trunc_c=1.0)
         traj = Trajectory(states=np.array([0.0, 0.0]), actions=np.array([1.0]), rewards=np.zeros(1))
         assert importance_weight(traj, narrow, wide) == 0.0
 
@@ -193,6 +191,36 @@ class TestImportanceWeights:
         traj = Trajectory(states=np.array([0, 1]), actions=np.array([1]), rewards=np.zeros(1))
         with pytest.warns(ImportanceWeightWarning):
             importance_weight(traj, num, den)
+
+
+def overflowing_weight_case():
+    """100 steps of action 0 on one state, sampled by pi_new(0) = 3e-4 and
+    weighted by pi_old(0) = 0.99: log weight 100 log(3300) = 810.17, above
+    log(float max) = 709.78."""
+    mdp = bandit([1.0, 0.0])
+    old = softmax(mdp, [math.log(0.99), math.log(0.01)])
+    new = softmax(mdp, [math.log(3e-4), math.log(1.0 - 3e-4)])
+    traj = Trajectory(
+        states=np.zeros(101, dtype=np.int64),
+        actions=np.zeros(100, dtype=np.int64),
+        rewards=np.ones(100),
+    )
+    return mdp, old, new, traj
+
+
+class TestImportanceWeightOverflow:
+    def test_weight_above_float_range_is_inf(self):
+        _, old, new, traj = overflowing_weight_case()
+        assert log_importance_weight(traj, old, new) == pytest.approx(810.17, abs=0.01)
+        with pytest.warns(ImportanceWeightWarning):
+            assert importance_weight(traj, old, new) == math.inf
+
+    def test_momentum_step_turns_non_finite(self):
+        mdp, old, new, traj = overflowing_weight_case()
+        fresh = truncated_grad(traj, new, mdp.gamma)
+        with pytest.warns(ImportanceWeightWarning):
+            u = momentum_update_is(np.zeros(2), fresh, 0.5, traj, old, new, mdp.gamma)
+        assert not np.any(np.isfinite(u))
 
 
 class TestMomentum:

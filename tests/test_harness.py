@@ -1,7 +1,10 @@
 """Experiment harness and CLI: config parsing, CSV output, reruns, exit codes."""
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -488,6 +491,18 @@ class TestCli:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("configuration error")
+
+    def test_cli_import_loads_no_scipy_stats(self):
+        # verify, which imports scipy.stats, loads only inside `npghm verify`
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        probe = (
+            "import sys, npghm.cli; "
+            "print(sorted(m for m in sys.modules if m == 'npghm.verify' or m.startswith('scipy.stats')))"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_verify_subcommand_writes_report(self, tmp_path, capsys):
         report = tmp_path / "checks.json"

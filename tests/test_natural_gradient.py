@@ -16,7 +16,7 @@ from npghm.natural_gradient import (
     npg_sgd,
     resolve_eta,
 )
-from npghm.policies import PointMassFeatures, TruncatedLinearGaussianPolicy
+from npghm.policies import TruncatedLinearGaussianPolicy
 from npghm.seeding import substream
 from npghm.verify import TableScorePolicy, anisotropic_problem
 
@@ -164,9 +164,8 @@ class TestNpgSgdPointMass:
     env = pointmass()
 
     def policy(self, rng, trunc_c=3.0):
-        feats = PointMassFeatures(self.env.state_radius)
         theta = 2.0 * rng.standard_normal(2)
-        return TruncatedLinearGaussianPolicy(feats, theta, sigma=rng.uniform(0.3, 1.0), trunc_c=trunc_c)
+        return TruncatedLinearGaussianPolicy(self.env.state_radius, theta, sigma=rng.uniform(0.3, 1.0), trunc_c=trunc_c)
 
     def test_float_recursion_matches_numpy_recursion(self):
         worst = 0.0
@@ -214,7 +213,7 @@ class TestAdam:
         # the feedback weight moves toward the regulator's negative gain and
         # the Monte Carlo return rises
         env = pointmass()
-        pol = TruncatedLinearGaussianPolicy(PointMassFeatures(env.state_radius), np.zeros(2))
+        pol = TruncatedLinearGaussianPolicy(env.state_radius, np.zeros(2))
         cfg = RunConfig(big_t=60, alpha0=0.05, tau0=20.0, seed=1, eval_interval=1, eval_trajectories=100,
                         subproblem=SubproblemConfig(kind="adam", n_iters=30, adam_lr=0.05))
         res = train(env, pol, cfg, "npg-hm")

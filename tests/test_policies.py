@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from scipy.special import erf
 
 from npghm.policies import (
-    PointMassFeatures,
     TabularSoftmaxPolicy,
     TruncatedLinearGaussianPolicy,
     load_policy,
@@ -28,10 +27,9 @@ def random_softmax(n_states, n_actions, seed, scale=1.0):
 
 
 def gaussian_policy(theta=None, sigma=0.5, trunc_c=3.0, seed=0):
-    feats = PointMassFeatures(2.0)
     if theta is None:
-        theta = np.random.default_rng(seed).standard_normal(feats.dim)
-    return TruncatedLinearGaussianPolicy(feats, np.asarray(theta, float), sigma=sigma, trunc_c=trunc_c)
+        theta = np.random.default_rng(seed).standard_normal(2)
+    return TruncatedLinearGaussianPolicy(2.0, np.asarray(theta, float), sigma=sigma, trunc_c=trunc_c)
 
 
 class TestSoftmax:
@@ -138,16 +136,15 @@ class TestSoftmax:
 class TestTruncatedGaussian:
     def test_mean_is_linear_in_features(self):
         pol = gaussian_policy(theta=[0.5, -0.25])
-        feats = pol.features
         s = 1.2
-        assert pol.mean(s) == pytest.approx(float(np.dot([0.5, -0.25], feats.batch([s])[0])))
-        # on PointMassFeatures the mean is the plain-float sum, two roundings,
+        assert pol.mean(s) == pytest.approx(float(np.dot([0.5, -0.25], pol._phi_rows([s])[0])))
+        # on the point-mass features the mean is the plain-float sum, two roundings,
         # which np.dot's fused multiply-add can miss by an ulp
         rng = np.random.default_rng(3)
         for theta in rng.standard_normal((200, 2)) * 3.0:
             pol = gaussian_policy(theta=theta)
             for s in (*(rng.standard_normal(5) * 2.0), 2.0, -2.0, 7.5, -0.0):
-                phi = pol.features.batch([s])[0]
+                phi = pol._phi_rows([s])[0]
                 phi0, phi1 = phi.tolist()
                 mu = pol.mean(s)
                 assert mu == theta[0] * phi0 + theta[1] * phi1
@@ -173,7 +170,7 @@ class TestTruncatedGaussian:
     def test_score_formula(self):
         pol = gaussian_policy(theta=[0.4, -0.2], sigma=0.6, trunc_c=3.0)
         s, a = 0.9, 0.3
-        phi = pol.features.batch([s])[0]
+        phi = pol._phi_rows([s])[0]
         expected = (a - pol.mean(s)) / pol.sigma**2 * phi
         assert np.allclose(pol.score(s, a), expected)
         # bitwise: the float score is the coefficient times the feature row
@@ -183,7 +180,7 @@ class TestTruncatedGaussian:
             for s in (*(rng.standard_normal(5) * 2.0), 2.0, -7.5, -0.0):
                 a = pol.sample_action(s, rng)
                 coef = (float(a) - pol.mean(s)) / pol.sigma**2
-                assert np.array_equal(pol.score(s, a), coef * pol.features.batch([s])[0])
+                assert np.array_equal(pol.score(s, a), coef * pol._phi_rows([s])[0])
 
     def test_normalizer_is_theta_independent(self):
         # same truncation mass for any mean: erf(c / sqrt 2)
@@ -200,9 +197,20 @@ class TestTruncatedGaussian:
 
     def test_constants(self):
         pol = gaussian_policy(sigma=0.5, trunc_c=3.0)
-        r_phi = pol.features.r_phi
-        assert pol.m_g == pytest.approx((3.0 * r_phi / 0.5) ** 2)
-        assert pol.m_h == pytest.approx((r_phi / 0.5) ** 2)
+        # ||phi(s)|| <= 1, with equality once the state is clipped to +-R
+        norms = np.linalg.norm(pol._phi_rows(np.linspace(-5.0, 5.0, 101)), axis=1)
+        assert norms.max() == pytest.approx(1.0) and np.all(norms <= 1.0 + 1e-15)
+        assert pol.m_g == pytest.approx((3.0 / 0.5) ** 2)
+        assert pol.m_h == pytest.approx((1.0 / 0.5) ** 2)
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_state_radius(self, radius):
+        with pytest.raises(ValueError, match="state_radius"):
+            TruncatedLinearGaussianPolicy(radius, np.zeros(2))
+
+    def test_rejects_wrong_theta_size(self):
+        with pytest.raises(ValueError, match="theta size 3"):
+            TruncatedLinearGaussianPolicy(2.0, np.zeros(3))
 
     def test_samples_stay_in_support(self):
         pol = gaussian_policy(theta=[1.0, 0.5], sigma=0.4, trunc_c=1.5)
@@ -219,7 +227,7 @@ class TestTruncatedGaussian:
         s = 0.8
         n = 40_000
         draws = np.array([pol.sample_action(s, rng) for _ in range(n)])
-        phi = pol.features.batch([s])[0]
+        phi = pol._phi_rows([s])[0]
         scores = (draws - pol.mean(s))[:, None] / pol.sigma**2 * phi[None, :]
         se = scores.std(axis=0) / math.sqrt(n)
         assert np.all(np.abs(scores.mean(axis=0)) < 4 * se + 1e-12)
@@ -240,7 +248,7 @@ class TestMeasuredBounds:
         # E[phi phi^T] = I/2 and the Fisher floor is about 1/(2 sigma^2)
         rng = substream(5, "bounds")
         pol = gaussian_policy(theta=[0.0, 0.0], sigma=0.5, trunc_c=3.0)
-        r = pol.features.state_radius
+        r = pol.state_radius
         samples = [(s, pol.sample_action(s, rng)) for s in (r, -r) * 300]
         mb = measured_bounds(pol, samples)
         assert mb.mu_f_hat == pytest.approx(0.5 / 0.5**2, rel=0.2)
@@ -260,7 +268,7 @@ class TestMeasuredBounds:
         # Gaussian: the Hessian is -phi(s) phi(s)^T / sigma^2, of norm |phi(s)|^2 / sigma^2
         gauss = gaussian_policy(theta=[0.3, -0.7], sigma=0.4, trunc_c=3.0)
         for s in (0.25, -1.7, 5.0):
-            phi = gauss.features.batch([s])[0]
+            phi = gauss._phi_rows([s])[0]
             mb = measured_bounds(gauss, [(s, gauss.mean(s))])
             assert mb.m_h_hat == pytest.approx(float(phi @ phi) / 0.4**2, rel=1e-12)
 
@@ -279,8 +287,9 @@ class TestSerialization:
         pol = gaussian_policy(theta=[0.123456789012345, -2.5e-7], sigma=0.37, trunc_c=2.25)
         path = tmp_path / "g.policy"
         save_policy(pol, path)
-        back = load_policy(path, features=pol.features)
+        back = load_policy(path, state_radius=pol.state_radius)
         assert isinstance(back, TruncatedLinearGaussianPolicy)
+        assert back.state_radius == pol.state_radius
         assert back.sigma == pol.sigma and back.trunc_c == pol.trunc_c
         assert np.array_equal(back.theta, pol.theta)
 
@@ -288,10 +297,10 @@ class TestSerialization:
         pol = gaussian_policy(theta=[0.0, 1.0], trunc_c=math.inf)
         path = tmp_path / "inf.policy"
         save_policy(pol, path)
-        back = load_policy(path, features=pol.features)
+        back = load_policy(path, state_radius=pol.state_radius)
         assert math.isinf(back.trunc_c)
 
-    def test_gaussian_requires_features(self, tmp_path):
+    def test_gaussian_requires_state_radius(self, tmp_path):
         pol = gaussian_policy()
         path = tmp_path / "g.policy"
         save_policy(pol, path)
@@ -320,6 +329,6 @@ def test_gaussian_score_points_toward_action(theta0, theta1, a_off):
     mu = pol.mean(s)
     a = mu + a_off
     g = pol.score(s, a)
-    phi = pol.features.batch([s])[0]
+    phi = pol._phi_rows([s])[0]
     # moving theta along the score raises the density of the observed action
     assert np.dot(g, phi) * (a - mu) >= 0
