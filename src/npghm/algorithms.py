@@ -54,8 +54,10 @@ import numpy as np
 
 from .envs import TabularMdp, geometric_cap, sample_state_action, sample_trajectory, discounted_return
 from .estimators import momentum_update_hessian, momentum_update_is, truncated_grad
-from .natural_gradient import SubproblemConfig, adam_subsolver, exact_npg_direction, npg_sgd, resolve_eta
-from .oracles import compute_constants, exact_fim, exact_return, optimal_return, theoretical_alpha0
+from .natural_gradient import (
+    SubproblemConfig, adam_subsolver, exact_npg_direction, npg_sgd, resolve_eta, tabular_npg_direction,
+)
+from .oracles import compute_constants, exact_fim, exact_return, exact_visitation, optimal_return, theoretical_alpha0
 from .policies import empirical_fisher
 from .seeding import substreams
 
@@ -239,7 +241,10 @@ def _solve_direction(env, policy, u, cfg: RunConfig, sub_rng, w_prev):
     if sub.kind == "identity":
         return u.copy()
     if sub.kind == "exact":
-        return exact_npg_direction(exact_fim(env, policy), u, sub.damping)
+        if sub.damping == 0.0:  # singular F: the dense pseudoinverse
+            return exact_npg_direction(exact_fim(env, policy), u, 0.0)
+        pi = policy.probs_matrix()
+        return tabular_npg_direction(exact_visitation(env, pi), pi, u, sub.damping)
     sampler = lambda: sample_state_action(env, policy, sub_rng)
     w0 = w_prev if sub.warm_start else None
     if sub.kind == "sgd_average":

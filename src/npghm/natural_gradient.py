@@ -6,7 +6,12 @@ from the discounted visitation and applies the least-squares SGD recursion
     w_{k+1} = w_k - eta [ (w_k . score) score - u ],      eta = 1/(4 m_g),
 
 returning the average of all K+1 iterates (w_0 included). The exact route
-solves the damped linear system and exists for small tabular problems.
+is for tabular softmax policies, whose Fisher is block-diagonal with
+F_s = d(s) (diag(pi_s) - pi_s pi_s^T): tabular_npg_direction solves the damped
+system (F + damping I) w = u one state at a time in closed form, from d(s) and
+pi alone. exact_npg_direction, the dense solve on a given F, is the oracle it
+is tested against, and training uses it only at damping 0, where it falls back
+to the pseudoinverse.
 """
 from __future__ import annotations
 
@@ -143,8 +148,10 @@ def adam_subsolver(
 
 
 def exact_npg_direction(fim: np.ndarray, u: np.ndarray, damping: float) -> np.ndarray:
-    """(F + damping I)^{-1} u; damping == 0 falls back to the eigenvalue-
-    cutoff pseudoinverse for singular F."""
+    """(F + damping I)^{-1} u by a dense solve; damping == 0 falls back to the
+    eigenvalue-cutoff pseudoinverse for singular F. The reference that
+    tabular_npg_direction is checked against; training calls it only at
+    damping 0."""
     fim = np.asarray(fim, dtype=float)
     u = np.asarray(u, dtype=float)
     if fim.shape != (u.size, u.size):
@@ -154,6 +161,30 @@ def exact_npg_direction(fim: np.ndarray, u: np.ndarray, damping: float) -> np.nd
     if damping > 0.0:
         return np.linalg.solve(fim + damping * np.eye(u.size), u)
     return pinv_solve(fim, u)
+
+
+def tabular_npg_direction(d: np.ndarray, pi: np.ndarray, u: np.ndarray, damping: float) -> np.ndarray:
+    """(F + damping I)^{-1} u for the tabular softmax Fisher, from the
+    discounted state visitation d (S,) and the policy matrix pi (S, A).
+
+    Each damped block diag(D_s) - d(s) pi_s pi_s^T, D_s = d(s) pi_s + damping,
+    is a diagonal minus a rank-one term, so Sherman-Morrison inverts it in
+    O(A) (Kakade, NIPS 2001). With y = u_s / D_s and z = pi_s / D_s,
+
+        w_s = y + z d(s) (pi_s . y) / (damping sum_a z_a).
+
+    The denominator is 1 - d(s) pi_s . z rewritten with sum_a pi_s = 1; the
+    first form cancels catastrophically when damping << d(s) pi_s(a).
+    """
+    if not damping > 0.0:
+        raise ValueError("the closed-form solve needs damping > 0")
+    pi = np.asarray(pi, dtype=float)
+    d = np.asarray(d, dtype=float)[:, None]
+    big_d = d * pi + damping
+    y = np.reshape(u, pi.shape) / big_d
+    z = pi / big_d
+    scale = d * np.sum(pi * y, axis=1, keepdims=True) / (damping * np.sum(z, axis=1, keepdims=True))
+    return (y + z * scale).reshape(-1)
 
 
 def averaged_sgd_error_bound(m_g: float, mu_f: float, dim: int, n_iters: int) -> float:

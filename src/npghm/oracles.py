@@ -132,7 +132,9 @@ def exact_fim(mdp: TabularMdp, policy) -> np.ndarray:
     is summed over actions in order, O(S A^3) in all, then placed in a zero
     matrix. Every off-block entry of the dense contraction
     sum_{s,a} d~ score score^T, O(S A d^2), is a sum of exact zeros, so the
-    result has the same bits as that contraction.
+    result has the same bits as that contraction. Training solves with F in
+    closed form (natural_gradient.tabular_npg_direction, from d and pi) and
+    builds this matrix only for the undamped pseudoinverse solve.
     """
     pi = _policy_matrix(mdp, policy)
     d_sa = exact_visitation(mdp, pi)[:, None] * pi

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from npghm import algorithms
 from npghm.algorithms import (
     ALGORITHMS,
     METHODS,
@@ -16,8 +17,8 @@ from npghm.algorithms import (
 )
 from npghm.envs import TabularMdp, bandit, chain, random_mdp, sample_trajectory
 from npghm.estimators import truncated_grad
-from npghm.natural_gradient import SubproblemConfig
-from npghm.oracles import exact_return, exact_truncated_gradient, optimal_return
+from npghm.natural_gradient import SubproblemConfig, exact_npg_direction
+from npghm.oracles import exact_fim, exact_return, exact_truncated_gradient, optimal_return
 from npghm.policies import TabularSoftmaxPolicy
 from npghm.seeding import substream
 
@@ -251,6 +252,55 @@ class TestSolverPlumbing:
         res = train(mdp, pol, cfg, "npg-hm")
         assert res.alpha0 == 0.05
         assert res.alpha0_theory is None
+
+
+def dense_solve(env, policy, u, cfg, sub_rng, w_prev):
+    """_solve_direction's exact route through the dense Fisher and LAPACK."""
+    return exact_npg_direction(exact_fim(env, policy), u, cfg.subproblem.damping)
+
+
+def exact_runs(damping, big_t=60):
+    """Every method on chain5 and random4x3@1 with the exact solve."""
+    cfg = RunConfig(big_t=big_t, seed=1, eval_interval=20, subproblem=SubproblemConfig(kind="exact", damping=damping))
+    return {
+        (env_name, name): train(mdp, TabularSoftmaxPolicy.zeros(mdp.n_states, mdp.n_actions), cfg, name)
+        for env_name, mdp in (("chain5", chain(5)), ("random4x3@1", random_mdp(4, 3, 1)))
+        for name in METHODS
+    }
+
+
+class TestClosedFormSolve:
+    # Each closed-form solve differs from the dense one by rounding, more so
+    # as the damping shrinks (see the solver tests' bounds). Over 59
+    # iterations the runs measured at most 2.1e-15 apart in ||theta|| and
+    # 6.8e-15 in any record's w_norm at damping 0.3, and 1.5e-14 and 9.2e-14
+    # at 0.03; 1e-12 leaves room for rounding to compound without admitting
+    # a different update.
+    REL = 1e-12
+
+    @pytest.mark.parametrize("damping", [0.3, 0.03])
+    def test_training_matches_the_dense_solve(self, monkeypatch, damping):
+        closed = exact_runs(damping)
+        monkeypatch.setattr(algorithms, "_solve_direction", dense_solve)
+        dense = exact_runs(damping)
+        for key, res in closed.items():
+            ref = dense[key]
+            assert np.linalg.norm(res.theta - ref.theta) <= self.REL * np.linalg.norm(ref.theta), key
+            w = [r.w_norm for r in res.records]
+            np.testing.assert_allclose(w, [r.w_norm for r in ref.records], rtol=self.REL, atol=0.0, err_msg=str(key))
+
+    def test_zero_damping_keeps_the_dense_pseudoinverse(self, monkeypatch):
+        def no_closed_form(*args):
+            raise AssertionError("damping 0 reached the closed-form solve")
+
+        # undamped, the pseudoinverse steps grow past the float range by T=60
+        monkeypatch.setattr(algorithms, "tabular_npg_direction", no_closed_form)
+        shipped = exact_runs(damping=0.0, big_t=20)
+        monkeypatch.setattr(algorithms, "_solve_direction", dense_solve)
+        dense = exact_runs(damping=0.0, big_t=20)
+        for key, res in shipped.items():
+            assert res.theta.tobytes() == dense[key].theta.tobytes(), key
+            assert [r.w_norm for r in res.records] == [r.w_norm for r in dense[key].records], key
 
 
 class TestNanAbort:

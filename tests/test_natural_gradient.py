@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from npghm.algorithms import RunConfig, train
-from npghm.envs import pointmass, sample_state_action
+from npghm.envs import TabularMdp, bandit, chain, pointmass, random_mdp, sample_state_action
 from npghm.natural_gradient import (
     SubproblemConfig,
     adam_subsolver,
@@ -15,8 +15,10 @@ from npghm.natural_gradient import (
     exact_npg_direction,
     npg_sgd,
     resolve_eta,
+    tabular_npg_direction,
 )
-from npghm.policies import TruncatedLinearGaussianPolicy
+from npghm.oracles import exact_fim, exact_visitation
+from npghm.policies import TabularSoftmaxPolicy, TruncatedLinearGaussianPolicy
 from npghm.seeding import substream
 from npghm.verify import TableScorePolicy, anisotropic_problem
 
@@ -246,6 +248,88 @@ class TestExactDirection:
         w = exact_npg_direction(f, u, damping=0.0)
         # singular direction is cut off, not amplified
         assert np.allclose(w, [2.0, 0.0])
+
+
+def unreachable_state_mdp() -> TabularMdp:
+    """States 0 and 1 mix among themselves; state 2 loops on itself and has
+    no initial mass, so d(2) = 0."""
+    rng = np.random.default_rng(3)
+    p = np.zeros((3, 2, 3))
+    p[:2, :, :2] = rng.dirichlet(np.ones(2), size=(2, 2))
+    p[2, :, 2] = 1.0
+    return TabularMdp(p, rng.uniform(-1.0, 1.0, size=(3, 2, 3)), [0.5, 0.5, 0.0], 0.9)
+
+
+SOLVE_MDPS = {
+    "random40x5@1": lambda: random_mdp(40, 5, 1),
+    "chain5": lambda: chain(5),
+    "random4x3@1": lambda: random_mdp(4, 3, 1),
+    "bandit": lambda: bandit([0.1, 0.5, -0.3, 0.9]),
+    "one-action": lambda: random_mdp(4, 1, 2),
+    "unreachable": unreachable_state_mdp,
+}
+
+# Largest ||w - w_dense|| / ||w_dense|| allowed against the dense LAPACK solve,
+# per damping. The dense solve's own error grows with the condition number of
+# F + damping I, about (max d(s) pi + damping) / damping, so the bound follows
+# it: the closed form measured at most 2.6e-16 at 0.3 and 10, 1.6e-14 at 1e-3
+# and 2.1e-11 at 1e-6 on these fixtures.
+SOLVE_BOUNDS = {1e-6: 1e-10, 1e-3: 1e-13, 0.3: 2e-15, 10.0: 2e-15}
+
+
+def solve_fixtures(mdp):
+    """Softmax policies at logit scales 0.1 to 60 (uniform on +-20 scale), so
+    the widest scales underflow some probabilities to exactly 0; one u each."""
+    rng = np.random.default_rng(0)
+    for scale in (0.1, 1.0, 10.0, 60.0):
+        for _ in range(5):
+            theta = scale * rng.uniform(-20.0, 20.0, mdp.n_states * mdp.n_actions)
+            yield TabularSoftmaxPolicy(mdp.n_states, mdp.n_actions, theta), rng.standard_normal(theta.size)
+
+
+class TestTabularDirection:
+    @pytest.mark.parametrize("name", sorted(SOLVE_MDPS))
+    def test_matches_the_dense_solve(self, name):
+        mdp = SOLVE_MDPS[name]()
+        worst = dict.fromkeys(SOLVE_BOUNDS, 0.0)
+        for pol, u in solve_fixtures(mdp):
+            pi = pol.probs_matrix()
+            d = exact_visitation(mdp, pi)
+            for damping in SOLVE_BOUNDS:
+                dense = exact_npg_direction(exact_fim(mdp, pol), u, damping)
+                w = tabular_npg_direction(d, pi, u, damping)
+                rel = np.linalg.norm(w - dense) / np.linalg.norm(dense)
+                worst[damping] = max(worst[damping], rel)
+        assert all(worst[damping] <= bound for damping, bound in SOLVE_BOUNDS.items()), worst
+
+    def test_fixtures_underflow_some_probabilities(self):
+        pols = [pol for pol, _ in solve_fixtures(random_mdp(4, 3, 1))]
+        assert any(np.any(pol.probs_matrix() == 0.0) for pol in pols)
+
+    @pytest.mark.parametrize("damping", sorted(SOLVE_BOUNDS))
+    def test_one_action_is_u_over_damping(self, damping):
+        # F = 0 when every state has one action; written as 1 - d(s) pi . z,
+        # the denominator would lose about log10(d(s) / damping) digits here
+        mdp = random_mdp(4, 1, 2)
+        pi = np.ones((4, 1))
+        u = np.random.default_rng(1).standard_normal(4)
+        w = tabular_npg_direction(exact_visitation(mdp, pi), pi, u, damping)
+        np.testing.assert_allclose(w, u / damping, rtol=4 * np.finfo(float).eps)
+
+    def test_unreachable_state_is_u_over_damping(self):
+        mdp = unreachable_state_mdp()
+        pol = TabularSoftmaxPolicy(3, 2, np.array([0.3, -1.0, 2.0, 0.5, 1.5, -0.5]))
+        pi = pol.probs_matrix()
+        u = np.array([1.0, -2.0, 0.5, 0.25, -3.0, 4.0])
+        d = exact_visitation(mdp, pi)
+        assert d[2] == 0.0
+        w = tabular_npg_direction(d, pi, u, 0.3)
+        assert np.array_equal(w[4:], u[4:] / 0.3)
+
+    @pytest.mark.parametrize("damping", [0.0, -1.0])
+    def test_rejects_nonpositive_damping(self, damping):
+        with pytest.raises(ValueError):
+            tabular_npg_direction(np.ones(1), np.full((1, 2), 0.5), np.ones(2), damping)
 
 
 class TestBounds:
