@@ -34,7 +34,7 @@ The methods with the Hessian correction sample exactly 2 trajectories per
 iteration for t >= 2 (q first, then tau_t, then tau_hat) and 1 at t = 1;
 the others sample 1 per iteration (Method.trajectories_per_step).
 Evaluation rollouts come from a separate stream and are never counted. A
-solver that cannot run on the env (the exact solve off a tabular MDP) is
+solver that cannot run (the exact solve off a tabular MDP, or undamped) is
 rejected before anything is drawn.
 
 Schedules: alpha_t = alpha0 sqrt(beta_t), and the automatic truncation
@@ -55,9 +55,9 @@ import numpy as np
 from .envs import TabularMdp, geometric_cap, sample_state_action, sample_trajectory, discounted_return
 from .estimators import momentum_update_hessian, momentum_update_is, truncated_grad
 from .natural_gradient import (
-    SubproblemConfig, adam_subsolver, exact_npg_direction, npg_sgd, resolve_eta, tabular_npg_direction,
+    SubproblemConfig, adam_subsolver, npg_sgd, resolve_eta, tabular_npg_direction,
 )
-from .oracles import compute_constants, exact_fim, exact_return, exact_visitation, optimal_return, theoretical_alpha0
+from .oracles import compute_constants, exact_return, exact_visitation, optimal_return, theoretical_alpha0
 from .policies import empirical_fisher
 from .seeding import substreams
 
@@ -241,8 +241,6 @@ def _solve_direction(env, policy, u, cfg: RunConfig, sub_rng, w_prev):
     if sub.kind == "identity":
         return u.copy()
     if sub.kind == "exact":
-        if sub.damping == 0.0:  # singular F: the dense pseudoinverse
-            return exact_npg_direction(exact_fim(env, policy), u, 0.0)
         pi = policy.probs_matrix()
         return tabular_npg_direction(exact_visitation(env, pi), pi, u, sub.damping)
     sampler = lambda: sample_state_action(env, policy, sub_rng)
@@ -280,8 +278,13 @@ def check_solver(env, policy, cfg: RunConfig, algorithm: str) -> None:
     sub = cfg.subproblem
     if not METHODS[algorithm].solve:
         return
-    if sub.kind == "exact" and not isinstance(env, TabularMdp):
-        raise ValueError("exact sub-problem solve needs a tabular MDP")
+    if sub.kind == "exact":
+        if not isinstance(env, TabularMdp):
+            raise ValueError("exact sub-problem solve needs a tabular MDP")
+        if sub.damping == 0.0:
+            # undamped, the solve amplifies noise by 1/(d(s) pi(a|s)), which a
+            # saturating softmax drives to infinity
+            raise ValueError("subproblem.damping must be positive for the exact sub-problem solve")
     if sub.kind == "sgd_average":
         resolve_eta(sub, policy)
 

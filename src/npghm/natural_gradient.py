@@ -9,9 +9,9 @@ returning the average of all K+1 iterates (w_0 included). The exact route
 is for tabular softmax policies, whose Fisher is block-diagonal with
 F_s = d(s) (diag(pi_s) - pi_s pi_s^T): tabular_npg_direction solves the damped
 system (F + damping I) w = u one state at a time in closed form, from d(s) and
-pi alone. exact_npg_direction, the dense solve on a given F, is the oracle it
-is tested against, and training uses it only at damping 0, where it falls back
-to the pseudoinverse.
+pi alone; training rejects damping 0 for it. exact_npg_direction, the dense
+solve on a given F (the pseudoinverse at damping 0), is the oracle it is tested
+against and is not on the training path.
 """
 from __future__ import annotations
 
@@ -150,8 +150,7 @@ def adam_subsolver(
 def exact_npg_direction(fim: np.ndarray, u: np.ndarray, damping: float) -> np.ndarray:
     """(F + damping I)^{-1} u by a dense solve; damping == 0 falls back to the
     eigenvalue-cutoff pseudoinverse for singular F. The reference that
-    tabular_npg_direction is checked against; training calls it only at
-    damping 0."""
+    tabular_npg_direction is checked against; training never calls it."""
     fim = np.asarray(fim, dtype=float)
     u = np.asarray(u, dtype=float)
     if fim.shape != (u.size, u.size):

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .envs import PointMassEnv, TabularMdp
 
@@ -28,7 +27,8 @@ def _policy_matrix(mdp: TabularMdp, pi) -> np.ndarray:
         raise ValueError(
             f"policy matrix shape {pi.shape} != ({mdp.n_states}, {mdp.n_actions})"
         )
-    if np.any(pi < -1e-12) or np.any(np.abs(pi.sum(axis=1) - 1.0) > 1e-9):
+    # written as `not (in range)` so that NaN entries fail the check
+    if not (np.all(pi >= -1e-12) and np.all(np.abs(pi.sum(axis=1) - 1.0) <= 1e-9)):
         raise ValueError("rows of pi must be probability distributions")
     return pi
 
@@ -50,7 +50,7 @@ def exact_value(mdp: TabularMdp, pi) -> np.ndarray:
     p_pi = _transition_under(mdp, pi)
     r_pi = _reward_under(mdp, pi)
     n = mdp.n_states
-    return scipy.linalg.solve(np.eye(n) - mdp.gamma * p_pi, r_pi)
+    return np.linalg.solve(np.eye(n) - mdp.gamma * p_pi, r_pi)
 
 
 def exact_q(mdp: TabularMdp, pi) -> np.ndarray:
@@ -77,10 +77,7 @@ def exact_visitation(mdp: TabularMdp, pi) -> np.ndarray:
     pi = _policy_matrix(mdp, pi)
     p_pi = _transition_under(mdp, pi)
     n = mdp.n_states
-    d = scipy.linalg.solve(
-        np.eye(n) - mdp.gamma * p_pi.T, (1.0 - mdp.gamma) * mdp.init_dist
-    )
-    return d
+    return np.linalg.solve(np.eye(n) - mdp.gamma * p_pi.T, (1.0 - mdp.gamma) * mdp.init_dist)
 
 
 def exact_state_action_visitation(mdp: TabularMdp, pi) -> np.ndarray:
@@ -134,7 +131,7 @@ def exact_fim(mdp: TabularMdp, policy) -> np.ndarray:
     sum_{s,a} d~ score score^T, O(S A d^2), is a sum of exact zeros, so the
     result has the same bits as that contraction. Training solves with F in
     closed form (natural_gradient.tabular_npg_direction, from d and pi) and
-    builds this matrix only for the undamped pseudoinverse solve.
+    never builds this matrix.
     """
     pi = _policy_matrix(mdp, policy)
     d_sa = exact_visitation(mdp, pi)[:, None] * pi

@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erf
 
 _HEADER_MAGIC = "npghm-policy v1"
 
@@ -171,9 +170,13 @@ class TruncatedLinearGaussianPolicy:
 
     @property
     def _log_normalizer(self) -> float:
+        """log erf(c/sqrt(2)) with the C library's math.erf. It has the bits
+        of scipy.special.erf at c in {1, 1.5, ..., 4, 5, 6, 10} (the default
+        c = 3 included) but not everywhere: about 9% of c in [0.05, 8] land
+        1-3 ulp away, c = 0.2, 0.3, 0.5 and 0.75 among them."""
         if math.isinf(self.trunc_c):
             return 0.0
-        return math.log(erf(self.trunc_c / math.sqrt(2.0)))
+        return math.log(math.erf(self.trunc_c / math.sqrt(2.0)))
 
     def with_params(self, theta: np.ndarray) -> "TruncatedLinearGaussianPolicy":
         return replace(self, theta=np.asarray(theta, dtype=float))

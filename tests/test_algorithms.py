@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from npghm import algorithms
+from npghm import algorithms, cli
 from npghm.algorithms import (
     ALGORITHMS,
     METHODS,
@@ -259,9 +259,9 @@ def dense_solve(env, policy, u, cfg, sub_rng, w_prev):
     return exact_npg_direction(exact_fim(env, policy), u, cfg.subproblem.damping)
 
 
-def exact_runs(damping, big_t=60):
+def exact_runs(damping):
     """Every method on chain5 and random4x3@1 with the exact solve."""
-    cfg = RunConfig(big_t=big_t, seed=1, eval_interval=20, subproblem=SubproblemConfig(kind="exact", damping=damping))
+    cfg = RunConfig(big_t=60, seed=1, eval_interval=20, subproblem=SubproblemConfig(kind="exact", damping=damping))
     return {
         (env_name, name): train(mdp, TabularSoftmaxPolicy.zeros(mdp.n_states, mdp.n_actions), cfg, name)
         for env_name, mdp in (("chain5", chain(5)), ("random4x3@1", random_mdp(4, 3, 1)))
@@ -289,18 +289,22 @@ class TestClosedFormSolve:
             w = [r.w_norm for r in res.records]
             np.testing.assert_allclose(w, [r.w_norm for r in ref.records], rtol=self.REL, atol=0.0, err_msg=str(key))
 
-    def test_zero_damping_keeps_the_dense_pseudoinverse(self, monkeypatch):
-        def no_closed_form(*args):
-            raise AssertionError("damping 0 reached the closed-form solve")
-
-        # undamped, the pseudoinverse steps grow past the float range by T=60
-        monkeypatch.setattr(algorithms, "tabular_npg_direction", no_closed_form)
-        shipped = exact_runs(damping=0.0, big_t=20)
-        monkeypatch.setattr(algorithms, "_solve_direction", dense_solve)
-        dense = exact_runs(damping=0.0, big_t=20)
-        for key, res in shipped.items():
-            assert res.theta.tobytes() == dense[key].theta.tobytes(), key
-            assert [r.w_norm for r in res.records] == [r.w_norm for r in dense[key].records], key
+    def test_zero_damping_is_rejected(self, tmp_path, capsys):
+        # undamped, the exact solve amplifies noise by 1/(d(s) pi(a|s)), which
+        # a saturating softmax drives to infinity
+        out = tmp_path / "out"
+        argv = ["train", "--env", "chain5", "--alg", "npg-hm,mnpg", "--seeds", "1", "--T", "60",
+                "--set", "subproblem.damping=0", "--out", str(out)]
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.splitlines() == [
+            "configuration error: subproblem.damping must be positive for the exact sub-problem solve"
+        ]
+        assert not out.exists()
+        cfg = RunConfig(big_t=3, subproblem=SubproblemConfig(kind="exact", damping=0.0))
+        with pytest.raises(ValueError, match="subproblem.damping"):
+            train(chain(5), TabularSoftmaxPolicy.zeros(5, 2), cfg, "npg-hm")
 
 
 class TestNanAbort:

@@ -24,7 +24,7 @@ BLAS_ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM
 DEMO_DIGESTS = {
     'estimator_checks': 'a7433134a443e06d0686e12b0c159f8951c8bce526e541b9c0aa11cb3ee07059',
     'momentum_variance': '7d9f3549dc23ca30d610f02af64f6a56224c2e54949ad7cd816fb7dc6f55fee3',
-    'oracle_tour': '0774be4e9828fb8041d94c352193b3f0b18207c2259ff5c8942d177f4f932c0a',
+    'oracle_tour': '92ddf595e8630f9f8c5562c3dccac06efebd097c5de9f372155bd5a2673aab49',
     'pointmass_gaussian': 'c7017606ea4f2b3cd1dc79224f8e6291990375b670c69ffeaf6d12d211cf2186',
     'subproblem_solvers': 'a294280a51f4d3cc10c5ae7a03f6e7c82d28c29d545a4a90ad40b183330fe264',
 }

@@ -1,13 +1,17 @@
 """Golden digests: sha256 of every file that small `algorithms=all` training
-runs write (CSV, .policy, summary.json, *_diagnostic.json).
+runs write (CSV, .policy, summary.json, *_diagnostic.json), and the final
+theta of every cell that writes a .policy file, as hex floats.
 
 The digests pin the exact bytes of the training loop's output, so a refactor
 or a speed-up that should not change results is checked here to the bit. A
 change that is meant to alter the outputs re-pins them, in a change of its
 own, with `PYTHONPATH=src python tests/test_golden.py`, which prints the
-DIGESTS table for the current code. `PYTHONPATH=src python tests/test_golden.py
-CASE [CASE ...]` prints the entries of the named cases only, which is how a
-new case is pinned on the commit before the change it guards.
+DIGESTS table for the current code and rewrites tests/golden_theta.json.
+`PYTHONPATH=src python tests/test_golden.py CASE [CASE ...]` does so for the
+named cases only, which is how a new case is pinned on the commit before the
+change it guards. Both the re-pin and a failing test report the largest
+relative move ||theta - theta_pinned|| / ||theta_pinned|| of a final theta,
+so a re-pin can quote its tolerance from this file's own output.
 
 Each case trains in its own process with BLAS on one thread unless the
 caller sets the count (perfbench pins one thread too). The exact solve runs
@@ -15,8 +19,8 @@ in closed form, with no threaded LAPACK call, so the wide d=200 exact case
 also writes its pinned bytes at two threads; a test checks that. Digests
 still depend on the BLAS kernel (OPENBLAS_CORETYPE).
 """
-import ast
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -32,8 +36,10 @@ import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 from npghm.harness import build_train_spec, train_experiment  # noqa: E402
+from npghm.policies import load_policy  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
+THETA_PATH = Path(__file__).with_name("golden_theta.json")
 
 COMMON = {"algorithms": "all", "seeds": "0,1", "run.eval_interval": "4"}
 
@@ -82,61 +88,61 @@ DIGESTS = {
         'summary.json': '6ab57e2a234e70a4256de06aff933eaf7de1508e0456a081c61ea3f61abd8af9',
     },
     'chain5-beta1': {
-        'harpg_seed0.csv': '74c07bccdb47f360c78476ff74437f70252caa119c849b1288ca5b104849b176',
+        'harpg_seed0.csv': '53db6233435c4e8f798c01ae758c73b2334f33a6800a28a4f051063ce921d485',
         'harpg_seed0.policy': '59f092f5eea2a906a68a774c07e3a891a7cffdd2ec7a2e94d4700c21b78af038',
         'harpg_seed1.csv': '994fd986ce521c951a9e113121af109d26156b7ea9f1a51bb43dde7333c311d8',
         'harpg_seed1.policy': 'cfba1f7a06bf1015809edbdc19e9ed4142bbdd0d29d517be7e15e8e43774e5dd',
-        'mnpg_seed0.csv': '1d93037583a431a82255ca09b7a658e86bc4d5c8da12f43c274cbcaeff4c7d1f',
-        'mnpg_seed0.policy': '791e4265698ecd2e51e80b334a47789af99b851e2d511971eac5e3854dd5af3d',
-        'mnpg_seed1.csv': 'dc51204c82944c93d6eed3f941eeb4fd954f2039a87a771670f85b914869acb2',
-        'mnpg_seed1.policy': 'd4001b6dab6723a3004fefdd75edb63325d9271863010b3212f1c03c30af1acc',
-        'npg-hm_seed0.csv': '353fc4d839f227e7ce208f2abdf342d1080db22cd9a0ed8225909a877334a16a',
-        'npg-hm_seed0.policy': 'fb194be251193025b95afa5faa294d6b8869049b05597cd91f00ff0c801583ab',
-        'npg-hm_seed1.csv': '374bc9656c3f24fda31670ee06d5c70cf0a28e29f549d92bc6cd3ee888cece67',
-        'npg-hm_seed1.policy': '01b1d6ec22668bd1fe5e9a2230da50655a12fbc65a076d993be2d2b8c22d7186',
-        'pg_seed0.csv': '2837b26e3348a6fc9c2a21444de4992092f07fd9fa3b989e8bc3f43829fe9478',
+        'mnpg_seed0.csv': '4e8caf72f43f6ea40b9504e8bfc11e3b364fa014252bccccff37dd7dc55fb6bf',
+        'mnpg_seed0.policy': 'a8f951a3464ec3a77436ce7f03a0ebe410c47f94a59cb2726d3a30ebb20964cf',
+        'mnpg_seed1.csv': '82cdb75c55fa0c76f458e75fac1ab3040788b8c4c513db5002e9033625b5f301',
+        'mnpg_seed1.policy': '46ce19f9d0d962c10fb10c4cd0078af8c9bcd01d9c66cc1590bc19f2d8ba3f70',
+        'npg-hm_seed0.csv': '88457e220457d2874f1fdf877bdc9598fee7c30a7c452f94992b245bbf8cb26a',
+        'npg-hm_seed0.policy': '82a34880ea7d62465ddc52603e356efd7f400aba59cc8231d374680436b1e64c',
+        'npg-hm_seed1.csv': 'ee45c407f54cc2d58a258f46dcafab5e9e2af0872aa793a91578cae4959dcae3',
+        'npg-hm_seed1.policy': 'd76ee1b462e13380530748b07f205ebccd357d43061ac5ecf34b01f1bb4e6d96',
+        'pg_seed0.csv': 'adef2dae8765698d954bd4b1cf27094d12d07d805228324054b4e942a7f31ecd',
         'pg_seed0.policy': '29bf54401bf535a23427fab582875abeb86d528f48b1f3bf050ea0ffb52442e3',
-        'pg_seed1.csv': 'ee0e27312fe07d55e6465dbac597c839769cbd77d29cb64ed092535592ffa64e',
+        'pg_seed1.csv': '3a8a8367a6728fcef2d55df5593fb816fcc398e9884d21f02d5c9dc28e605fd3',
         'pg_seed1.policy': 'ce47dc03aaa3917bbe93eacf3ce51c1a4e6d7d63874a90bd4d6011bff104e26b',
-        'summary.json': '57e0c9322416e0a6ee8ea94356c9ceeb0412ff4368c35f9f2599f49d19cb6d08',
+        'summary.json': 'dbdcb3ad741a49a8ecc745af4b5727f929cdb7c8eca7b1d792735e852af07e4a',
     },
     'chain5-exact': {
         'harpg_seed0.csv': 'f017460012728a02d384fcff987861bba01d9eb4ec82f8b303b4ebea24c94b6f',
         'harpg_seed0.policy': '559c908ff1aaec63f96c6f8493813015e6951cbd8da3c082a3ea77539b0c70d6',
-        'harpg_seed1.csv': 'd1df4c47bb8e449ddb5da6b661def6175652b61272143cc480792b7b32c319e3',
+        'harpg_seed1.csv': 'e62a47a92f473737b8afbc41b89e70863643b9b8fc6016fdd1dcbea3daa5e39c',
         'harpg_seed1.policy': '228b68dd1bd3686a03e99f568d27e9b9e57a67b2fb57867a3a88aa699296e9e3',
-        'mnpg_seed0.csv': '80816861d2f37ed89b468e2aa970e16bd21de7c6fbece9706e9a9c5163aacc23',
-        'mnpg_seed0.policy': '855f0d2773ff94a63a46a1011640c0d62d8bfdb68b7fa2259ebcc71c2eadcf0f',
-        'mnpg_seed1.csv': 'ebf156fdbf248fee18d3d19848b24f6854aa0706f445de07d630b36b540f7452',
-        'mnpg_seed1.policy': 'aded80ec57a05b46f8c6e46244b0be2128865f7663b5cb1631652730ae70dfa2',
-        'npg-hm_seed0.csv': 'c645c853e423c660358d8b3ca466bf9c498f215c504abf0fa778ff565f0a8059',
-        'npg-hm_seed0.policy': 'a0221139aeeb8b5269436b85a1455b917cf411d5a95435340c5e61b982db3053',
-        'npg-hm_seed1.csv': 'c1ee3a33452186373f3c64ba72b6626bbefef0eace232fd9b119240da1aae683',
-        'npg-hm_seed1.policy': 'c5d9bddcd77dfab648af30374a9fde6e41dd0301271971ee0475dd1e9c0f8b30',
-        'pg_seed0.csv': 'dd315a87581cff0acd0ef05cc2fb40823825a3f2149d8c40b3953c2ebe90a552',
+        'mnpg_seed0.csv': 'c60be161259422e336faf841f39aded7807916ddc56586512be6f376ecf5bb72',
+        'mnpg_seed0.policy': '74bda44800c9d1e93ec7316887124d492e48518c3a2866f96799e57947974b09',
+        'mnpg_seed1.csv': 'd5a5b9dc8f333f2053618be6c82a3ab0c88ecfe2dbfe387dbcca5dfeebf26c70',
+        'mnpg_seed1.policy': '537307fd93fb9c53c775f4d10c205cac1f368b21126337b99ce18db0d4900d7b',
+        'npg-hm_seed0.csv': '9cfa920a2e08ef4f44ba5c62987ca7755a0de3736c43a2735c461232df9f7d16',
+        'npg-hm_seed0.policy': 'f35dd07ed91c59a7705f429dbdd982270f4abaf2fa306b873fb6a7578a7013a6',
+        'npg-hm_seed1.csv': '3b33a334778103ee790e8bcf105c6d5451cca6230177ef9f0cadf8315f242cd3',
+        'npg-hm_seed1.policy': 'c9b7c54c58f48140d106a9d09c25792412c1d627770ead71751325bd461f3365',
+        'pg_seed0.csv': '7272ffada7d7f0b114731fb0929194c9a03921aa98ef5b180dba0a6d611e2ce3',
         'pg_seed0.policy': 'd8149b1715c9eb88106cf221139ef976c0726866fe48ab6add1c0569789fdb26',
-        'pg_seed1.csv': '5fe8fc85d3b8602e6f2e67b7d4e011eb3ccd56c6d23585d8d024915b653a2365',
+        'pg_seed1.csv': '1311aef4639d5840a746a6eb9c716481323539885d62166d943b65be0e348064',
         'pg_seed1.policy': '5beab6021ddca4dd70ded8e050df227be57b23a79ea20e58852492a483ed6543',
-        'summary.json': 'c2d8f958c975629d081a697aab3d16dce542272104a35e5090781dc56e9ad1aa',
+        'summary.json': 'a0cacfa3d960b4b6d6fe0f0f155178f4b0ba72366a3aa6d2a9dd085257b513b4',
     },
     'chain5-theory': {
-        'harpg_seed0.csv': '78d5ea278d12fe35da5997e5384cbfa0834e3be253243cdf98fe1adc273bc87c',
+        'harpg_seed0.csv': '9d6efac8e3d11c4ab2d1c374dfea6811222e1c382b614298b4a8a04f6467088b',
         'harpg_seed0.policy': '7acd4943363ee18232298649d842caca5058d7c00c96d3217a736a9137a3d6c3',
         'harpg_seed1.csv': '60e3b05258b96b0c26abf739a68003b29ec4c85005fc1e1f88d73752fee59299',
         'harpg_seed1.policy': 'c0d92105070240e7475782eb53581f2da36f072fe689ee119801c88f240b1d22',
-        'mnpg_seed0.csv': '38bb48a492e1a0c55adb8d91a9016ef3ba7f669ee8c53d1aa2a54b77996d93ab',
-        'mnpg_seed0.policy': 'a02e88ac9e635c09d905f8b577981f44f4689c87f707f6a0b3020f40203c22e8',
-        'mnpg_seed1.csv': 'b93181bbae6de03d2f1c60d63a91022c51ae7f3e8d2df06ac766c2491c351602',
-        'mnpg_seed1.policy': 'ae5f730434b946ace9b850bc5432b4b7becc2445ffe58d43344b7c2b668b549f',
-        'npg-hm_seed0.csv': '7d6bcc78be98af549f6e8cdee431ae31cf2a9657543f4ad4b7ddcb99e6df5d4d',
-        'npg-hm_seed0.policy': 'b9a21ec49d540960f89e68a85e69fd4a474c22b7be48415b868de3341f156ca6',
-        'npg-hm_seed1.csv': '9a3a814f25d862b8d3b9beb8f5156324eaeabc24d4c70be20757a4dd3cc8d0ae',
-        'npg-hm_seed1.policy': 'f433c09a16bc236ad5921e7d846e4c2d09c02f733da5bdcfb550d33fb3ce7b68',
-        'pg_seed0.csv': 'f403b7de6e284fafccdef09591c633b3a18fce29dddba47ca958f9a5f1d12fe9',
+        'mnpg_seed0.csv': '7e95338fc8f46fe35ee64fa0ef4d05bdbab54d86413363577925513d584dca82',
+        'mnpg_seed0.policy': '036c5bc854c4688de5cba69068dca1cb6d3f8bbf23aa81592918afe804df5cc4',
+        'mnpg_seed1.csv': '36eca70e9822d96c1ccb76c99143702815009634e6521878dfb44018667bfd15',
+        'mnpg_seed1.policy': '225678075148912d1a0f4b48972abe91f4d511d0831bef45d30dce023cba18c3',
+        'npg-hm_seed0.csv': '74214a51f5143beb31a3f3e8a99c53048cd71b122bd7cd7186cc3af49218534d',
+        'npg-hm_seed0.policy': '3a99b544e330bc04ace0bd2badcd52cf77c841f0715d495bd019884cbe7e840f',
+        'npg-hm_seed1.csv': 'd3f627b4b5252a1db515f95de1beac58166630d399a9b2b06693b22cae03a01d',
+        'npg-hm_seed1.policy': 'a0435b177b31001983ea6a0bc4de7e0d22dc3ea38eaba340d3d51c2db73fb2a0',
+        'pg_seed0.csv': '8427e09ef1fc064398a7657ba96ece8e70246ca0aee8e405d1e13a0d9eb361c0',
         'pg_seed0.policy': 'b1b1cf2413c50d6509941abe898d0c602b51c94f8cb7c5c88cc1c8cf0a5cfa83',
-        'pg_seed1.csv': 'b23a0f1e78a37bead70d0770dd34649669f9cd05e23e551f856bac8bd031c576',
+        'pg_seed1.csv': '77b0512c073017bdd51d918cdaa2c0dfbdcd4aa12b2cffd6d886a716b85f5b38',
         'pg_seed1.policy': '7c2777f3a745452b8afe2721ae2b245de22b149a8ba3804bc7cea77d89eca2f4',
-        'summary.json': '2eddfcc20596b735b5a0a5f8d364b5ded704a02acbb17e55654f45a174f0a117',
+        'summary.json': 'f0fae547985b42f72e1b0753be3ad93d7d0f6e997f8caae80bb8e49d367fa9ce',
     },
     'pointmass-sgd': {
         'harpg_seed0.csv': '6f52a34e7c69a7271110a71874bec9d7b31154f107df6648bc47822818e5a19b',
@@ -236,58 +242,101 @@ DIGESTS = {
 }
 
 
-def output_digests(case: str, out_dir: Path) -> dict:
-    """Train one case into out_dir; file name -> sha256 of its bytes."""
+PINNED_THETA = json.loads(THETA_PATH.read_text(encoding="utf-8"))
+
+
+def train_case(case: str, out_dir: Path) -> None:
     spec = build_train_spec({**COMMON, **CASES[case]}, out_dir=out_dir)
     with np.errstate(over="ignore", invalid="ignore"):
         train_experiment(spec)
-    return {
-        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted(out_dir.iterdir())
+
+
+def file_digests(out_dir: Path) -> dict:
+    """File name -> sha256 of its bytes."""
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out_dir.iterdir())}
+
+
+def final_thetas(out_dir: Path) -> dict:
+    """Cell (file stem) -> final theta as hex floats, from each .policy file."""
+    return {  # the Gaussian's state_radius does not enter its stored theta
+        p.stem: [x.hex() for x in load_policy(p, state_radius=1.0).theta.tolist()]
+        for p in sorted(out_dir.glob("*.policy"))
     }
 
 
-def child_digests(case: str, blas_threads: int = 1) -> dict:
-    """output_digests of one case, computed by this file run as a script
-    with BLAS on blas_threads threads."""
+def largest_theta_move(thetas: dict, pinned: dict) -> str:
+    """The largest relative move of a final theta from its pin, over the
+    cells both have."""
+    moves = {}
+    for cell in sorted(thetas.keys() & pinned.keys()):
+        new, old = (np.array([float.fromhex(x) for x in t]) for t in (thetas[cell], pinned[cell]))
+        moves[cell] = float(np.linalg.norm(new - old) / max(np.linalg.norm(old), np.finfo(float).tiny))
+    if not moves:
+        return "no pinned final theta to compare"
+    cell = max(moves, key=moves.get)
+    return f"largest relative move of a final theta: {moves[cell]:.3g} ({cell})"
+
+
+def child_train(case: str, out_dir: Path, blas_threads: int = 1) -> None:
+    """train_case in this file run as a script, with BLAS on blas_threads threads."""
     env = {**os.environ, **{key: str(blas_threads) for key in BLAS_ONE_THREAD}}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, __file__, case],
+        [sys.executable, __file__, "--out", str(out_dir), case],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stderr
-    return ast.literal_eval("{" + proc.stdout + "}")[case]
+
+
+def check_case(case: str, out_dir: Path, blas_threads: int = 1) -> None:
+    child_train(case, out_dir, blas_threads)
+    thetas = final_thetas(out_dir)
+    move = largest_theta_move(thetas, PINNED_THETA[case])
+    assert file_digests(out_dir) == DIGESTS[case], move
+    assert thetas == PINNED_THETA[case], move
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_outputs_match_golden_digests(case):
-    assert child_digests(case) == DIGESTS[case]
+def test_outputs_match_golden_digests(case, tmp_path):
+    check_case(case, tmp_path)
 
 
-def test_wide_exact_case_is_the_same_at_two_blas_threads():
+def test_wide_exact_case_is_the_same_at_two_blas_threads(tmp_path):
     # a threaded LAPACK call on the exact training path (such as the dense
     # solve at d=200) rounds differently at two threads and moves these bytes
-    assert child_digests("random40x5-exact", blas_threads=2) == DIGESTS["random40x5-exact"]
+    check_case("random40x5-exact", tmp_path, blas_threads=2)
 
 
-def print_digests(cases) -> None:
+def repin(cases) -> None:
+    """Print the DIGESTS entries of the cases, report how far each case's
+    final thetas moved on stderr, and write their thetas to THETA_PATH."""
     for case in cases:
         with tempfile.TemporaryDirectory() as tmp:
+            train_case(case, Path(tmp))
             print(f"    {case!r}: {{")
-            for name, digest in output_digests(case, Path(tmp)).items():
+            for name, digest in file_digests(Path(tmp)).items():
                 print(f"        {name!r}: {digest!r},")
             print("    },")
+            thetas = final_thetas(Path(tmp))
+        print(f"{case}: {largest_theta_move(thetas, PINNED_THETA.get(case, {}))}", file=sys.stderr)
+        PINNED_THETA[case] = thetas
+    THETA_PATH.write_text(json.dumps(PINNED_THETA, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":
     named = sys.argv[1:]
+    out_dir = None
+    if named[:1] == ["--out"]:  # the tests' child: train one case into a directory
+        out_dir, named = Path(named[1]), named[2:]
     unknown = [case for case in named if case not in CASES]
     if unknown:
         sys.exit(f"unknown case(s): {', '.join(unknown)}; known: {', '.join(sorted(CASES))}")
-    if named:
-        print_digests(named)
+    if out_dir is not None:
+        (case,) = named
+        train_case(case, out_dir)
+    elif named:
+        repin(named)
     else:
         print("DIGESTS = {")
-        print_digests(sorted(CASES))
+        repin(sorted(CASES))
         print("}")

@@ -31,6 +31,12 @@ from npghm.policies import TabularSoftmaxPolicy, TruncatedLinearGaussianPolicy, 
 from npghm.verify import CHECKS, run_checks
 
 
+def src_env() -> dict:
+    """os.environ with this checkout's src/ first on PYTHONPATH, for child interpreters."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def parses(key, raw) -> bool:
     """Whether `key` is a config key whose parser takes `raw`."""
     if key not in harness.KEYS:
@@ -493,16 +499,43 @@ class TestCli:
         assert captured.err.startswith("configuration error")
 
     def test_cli_import_loads_no_scipy_stats(self):
-        # verify, which imports scipy.stats, loads only inside `npghm verify`
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        # no scipy module at all: verify, which imports scipy.stats, loads only
+        # inside `npghm verify`, and the training path runs on numpy alone
         probe = (
             "import sys, npghm.cli; "
-            "print(sorted(m for m in sys.modules if m == 'npghm.verify' or m.startswith('scipy.stats')))"
+            "print(sorted(m for m in sys.modules if m == 'npghm.verify' or m.startswith('scipy')))"
         )
-        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+        proc = subprocess.run([sys.executable, "-c", probe], env=src_env(), capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_set_up_and_training_run_without_scipy(self, tmp_path):
+        # scipy made unimportable: the benchmark set-up probe's steps, then one
+        # short cell each of chain5 npg-hm (exact solve and exact gap) and
+        # pointmass mnpg, whose importance weight reaches the Gaussian's
+        # log_prob and with it the truncation normalizer
+        probe = f"""
+import sys
+sys.modules["scipy"] = None
+from pathlib import Path
+from npghm import harness, oracles
+from npghm.policies import TruncatedLinearGaussianPolicy as Gaussian
+calls = []
+normalizer = Gaussian._log_normalizer.fget
+Gaussian._log_normalizer = property(lambda self: calls.append(1) or normalizer(self))
+for env in ("chain5", "random40x5@1"):
+    oracles.optimal_return(harness.make_env(env))
+harness.make_policy(harness.make_env("pointmass"), sigma=0.5, trunc_c=3.0)
+for env, alg in (("chain5", "npg-hm"), ("pointmass", "mnpg")):
+    spec = harness.build_train_spec(
+        {{"env": env, "algorithms": alg, "seeds": "0", "run.big_t": "5"}}, out_dir=Path({str(tmp_path)!r}) / env
+    )
+    print(env, spec.run.subproblem.kind, [r["big_t"] for r in harness.train_experiment(spec).summary["runs"]])
+print("normalizer", bool(calls))
+"""
+        proc = subprocess.run([sys.executable, "-c", probe], env=src_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["chain5 exact [5]", "pointmass sgd_average [5]", "normalizer True"]
 
     def test_verify_subcommand_writes_report(self, tmp_path, capsys):
         report = tmp_path / "checks.json"
